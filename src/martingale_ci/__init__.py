@@ -21,25 +21,24 @@ from .hybrid import (
     BisectConfig,
     GridConfig,
     StatisticEngine,
+    fit_pipeline,
     hybrid_ci_one_sided,
     hybrid_ci_two_sided,
     invert_lower_bound,
+    test_statistic,
 )
 from .inference import (
-    COV_HAC,
-    COV_UNCORRELATED,
     CovEstimate,
     IntervalReport,
     StatConfig,
     covariance,
-    fit_pipeline,
+    hac_meat,
     iv_interval,
     t_interval,
-    test_statistic,
     truncnorm_cdf,
     truncnorm_sf,
 )
-from .iv_estimator import IvEstimate, SingularGramError, iv_estimate, residual_vector
+from .iv_estimator import IvEstimate, SingularGramError, iv_estimate
 from .oga import (
     SelectionResult,
     default_iterations,

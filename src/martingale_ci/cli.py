@@ -10,11 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from .dgp import DgpConfig, SETTINGS, generate, load_dataset, make_beta, save_dataset
-from .harness import ExperimentConfig, run_experiment
-from .hybrid import StatisticEngine, hybrid_ci_one_sided, hybrid_ci_two_sided
-from .inference import SIDE_ONE, SIDE_TWO, StatConfig, iv_interval, t_interval
-from .iv_estimator import SingularGramError
-from .ps import InfeasibleTruncationError, ps_interval
+from .harness import METHODS, ExperimentConfig, interval, run_experiment
+from .hybrid import MIN_RESAMPLES, StatisticEngine
+from .inference import SIDE_ONE, SIDE_TWO, StatConfig
 from .resampler import generate_w
 
 
@@ -40,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--alpha", type=float, default=None,
                       help="tail mass; default 0.2 one-sided, 0.1 two-sided "
                            "(80%% nominal either way)")
-    p_ci.add_argument("--method", required=True, choices=("t", "iv", "ps", "hr"))
+    p_ci.add_argument("--method", required=True, choices=METHODS)
     p_ci.add_argument("--side", choices=(SIDE_ONE, SIDE_TWO), default=SIDE_ONE)
     p_ci.add_argument("--q", type=int, default=1, help="HAC lag truncation")
     p_ci.add_argument("--B", type=int, default=50, help="number of resamples")
@@ -98,46 +96,27 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     if args.method == "ps" and args.side == SIDE_TWO:
         print("ci: the ps method provides one-sided bounds only", file=sys.stderr)
         return 2
+    if args.method == "hr" and args.B < MIN_RESAMPLES:
+        print(f"ci: the hr method needs --B >= {MIN_RESAMPLES}, got {args.B}",
+              file=sys.stderr)
+        return 2
     ds = load_dataset(args.input)
-    stat_cfg = StatConfig(kmax=args.kmax, q=args.q, side=args.side)
-    engine = StatisticEngine(ds.X, stat_cfg)
+    engine = StatisticEngine(ds.X, StatConfig(kmax=args.kmax, q=args.q, side=args.side))
     fit = engine.fit(ds.Y)
     j_hat = fit.selection.j_hat
-    rows = []
     rs = None
     if args.method == "hr" and len(j_hat):
         rs = generate_w(ds, j_hat, engine.factors.F_hat, args.B,
-                        np.random.SeedSequence(args.seed),
-                        kmax=args.kmax, half_selection_size=len(j_hat))
+                        np.random.SeedSequence(args.seed), kmax=args.kmax)
     sigma_ps = args.sigma
     if args.method == "ps" and sigma_ps is None and len(j_hat):
         sigma_ps = _estimate_sigma(ds.X, ds.Y, j_hat)
 
+    rows = []
     for order, j in enumerate(j_hat, start=1):
-        j = int(j)
-        lower, upper, flags = math.nan, math.inf, "ok"
-        try:
-            if args.method == "t":
-                rep = t_interval(ds.X, ds.Y, j_hat, j, args.alpha, args.side)
-            elif args.method == "iv":
-                rep = iv_interval(fit.estimate, fit.cov, j, args.alpha, args.side)
-            elif args.method == "ps":
-                rep = ps_interval(ds.X, ds.Y, fit.selection, j, args.alpha,
-                                  sigma_ps)
-            elif args.method == "hr" and args.side == SIDE_ONE:
-                rep = hybrid_ci_one_sided(ds.X, ds.Y, j, rs, args.alpha,
-                                          stat_cfg=stat_cfg, engine=engine)
-            else:
-                rep = hybrid_ci_two_sided(ds.X, ds.Y, j, rs, args.alpha,
-                                          stat_cfg=stat_cfg, engine=engine)
-            lower, upper = rep.lower, rep.upper
-            if not rep.diagnostics.get("converged", True):
-                flags = "nonconverged"
-        except (SingularGramError, InfeasibleTruncationError,
-                np.linalg.LinAlgError) as exc:
-            flags = f"failed:{type(exc).__name__}"
-        rows.append([j + 1, args.method, lower, upper, order, flags])
-
+        lower, upper, flags = interval(args.method, int(j), ds, engine, fit,
+                                       args.alpha, rs, sigma_ps)
+        rows.append([int(j) + 1, args.method, lower, upper, order, flags])
     with args.out.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j", "method", "lower", "upper", "selected_order",
@@ -153,20 +132,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     args.alpha = _default_alpha(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    cfg = ExperimentConfig(
-        setting=args.setting,
-        sizes=tuple(zip(args.n, args.p)),
-        reps=args.reps,
-        B=args.B,
-        alpha=args.alpha,
-        kmax=args.kmax,
-        q=args.q,
-        methods=methods,
-        side=args.side,
-        seed=args.seed,
-        out_dir=args.out,
-        workers=args.workers,
-    )
+    try:
+        cfg = ExperimentConfig(
+            setting=args.setting,
+            sizes=tuple(zip(args.n, args.p)),
+            reps=args.reps,
+            B=args.B,
+            alpha=args.alpha,
+            kmax=args.kmax,
+            q=args.q,
+            methods=methods,
+            side=args.side,
+            seed=args.seed,
+            out_dir=args.out,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
+        return 2
     reports = run_experiment(cfg)
     for rep in reports:
         print(f"{rep.setting} (n={rep.n}, p={rep.p}): reps={rep.reps} "

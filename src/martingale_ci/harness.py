@@ -19,12 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dgp import DgpConfig, generate, make_beta
-from .hybrid import StatisticEngine, hybrid_ci_one_sided, hybrid_ci_two_sided
-from .inference import SIDE_ONE, SIDE_TWO, StatConfig, iv_interval, t_interval
-from .iv_estimator import SingularGramError
+from .dgp import Dataset, DgpConfig, generate, make_beta
+from .hybrid import (MIN_RESAMPLES, StatisticEngine, hybrid_ci_one_sided,
+                     hybrid_ci_two_sided)
+from .inference import SIDE_ONE, PipelineFit, StatConfig, iv_interval, t_interval
 from .ps import InfeasibleTruncationError, ps_interval
-from .resampler import combined_estimate, generate_w
+from .resampler import ResampleSet, combined_estimate, generate_w
 
 WORKERS_ENV_VAR = "MARTINGALE_CI_WORKERS"
 SIGNAL_GROUPS = (0.6, 0.4, 0.2, 0.1)
@@ -34,6 +34,7 @@ GROUP_SIZES = {0.6: 2, 0.4: 1, 0.2: 3, 0.1: 4}
 # everywhere except the GARCH setting, whose stationary sd is 0.5.
 PS_SIGMA = {"LAI": 1.0, "GARCH": 0.5, "AR": 1.0, "IID": 1.0, "MVN": 1.0}
 
+METHODS = ("t", "iv", "ps", "hr")
 RECORD_COLUMNS = ("kind", "rep", "j", "beta_true", "method", "lb", "ub", "m",
                   "amse", "flags")
 
@@ -49,7 +50,7 @@ class ExperimentConfig:
     alpha: float = 0.2
     kmax: int = 5
     q: int = 1
-    methods: tuple[str, ...] = ("t", "iv", "ps", "hr")
+    methods: tuple[str, ...] = METHODS
     side: str = SIDE_ONE
     seed: int = 0
     out_dir: Path | None = None
@@ -60,11 +61,13 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must be in (0, 0.5)")
-        bad = set(self.methods) - {"t", "iv", "ps", "hr"}
+        bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods: {sorted(bad)}")
         if self.side != SIDE_ONE and "ps" in self.methods:
             raise ValueError("the ps method provides one-sided bounds only")
+        if "hr" in self.methods and self.B < MIN_RESAMPLES:
+            raise ValueError(f"the hr method needs B >= {MIN_RESAMPLES}, got {self.B}")
 
 
 @dataclass
@@ -91,6 +94,39 @@ def derive_dataset_seed(master: int, rep: int) -> int:
     return int(np.random.SeedSequence([master, rep]).generate_state(1, np.uint64)[0])
 
 
+def interval(method: str, j: int, ds: Dataset, engine: StatisticEngine,
+             fit: PipelineFit, alpha: float, rs: ResampleSet | None = None,
+             ps_sigma: float | None = None) -> tuple[float, float, str]:
+    """``(lower, upper, flags)`` of one method's bound on selected column j.
+
+    The side is the engine's and ``fit`` is ``engine.fit(ds.Y)``; ``hr``
+    needs the resample set ``rs`` and ``ps`` the noise scale ``ps_sigma``.
+    Flags: ``failed:<Exception>`` (bounds nan, inf), ``nonconverged``,
+    ``fallback`` (normal quantiles somewhere on the grid), or ``ok``.
+    """
+    side = engine.cfg.side
+    try:
+        if method == "t":
+            rep = t_interval(ds.X, ds.Y, fit.j_hat, j, alpha, side)
+        elif method == "iv":
+            rep = iv_interval(fit.estimate, fit.cov, j, alpha, side)
+        elif method == "ps":
+            rep = ps_interval(ds.X, ds.Y, fit.selection, j, alpha, ps_sigma)
+        elif method != "hr":
+            raise ValueError(f"unknown method {method!r}")
+        else:
+            bound = hybrid_ci_one_sided if side == SIDE_ONE else hybrid_ci_two_sided
+            rep = bound(ds.X, ds.Y, j, rs, alpha, stat_cfg=engine.cfg, engine=engine)
+    except (InfeasibleTruncationError, np.linalg.LinAlgError) as exc:
+        return math.nan, math.inf, f"failed:{type(exc).__name__}"
+    flags = "ok"
+    if not rep.diagnostics.get("converged", True):
+        flags = "nonconverged"
+    elif rep.diagnostics.get("fallbacks", 0):
+        flags = "fallback"
+    return rep.lower, rep.upper, flags
+
+
 def run_replication(
     setting: str,
     n: int,
@@ -114,8 +150,7 @@ def run_replication(
                     seed=derive_dataset_seed(master_seed, rep))
     ds = generate(cfg, beta)
 
-    stat_cfg = StatConfig(kmax=kmax, q=q, side=side)
-    engine = StatisticEngine(ds.X, stat_cfg)
+    engine = StatisticEngine(ds.X, StatConfig(kmax=kmax, q=q, side=side))
     fit = engine.fit(ds.Y)
     j_hat = fit.selection.j_hat
     out = {"rep": rep, "m": int(len(j_hat)), "amse": math.nan,
@@ -124,57 +159,26 @@ def run_replication(
         out["flags"] = "degenerate"
         return out
 
-    beta_comb, _ = combined_estimate(ds, j_hat, kmax=kmax,
-                                     half_selection_size=len(j_hat))
+    rs = None
+    if "hr" in methods:
+        rs = generate_w(ds, j_hat, engine.factors.F_hat, B,
+                        np.random.SeedSequence([master_seed, rep, 1]),
+                        kmax=kmax)
+        beta_comb = rs.beta_tilde
+    else:
+        beta_comb, _ = combined_estimate(ds, j_hat, kmax=kmax)
     err = beta_comb - beta.values[j_hat]
     out["amse"] = float(np.sqrt(np.mean(err**2)))
     if not np.any(beta_comb != 0.0):
         out["flags"] = "degenerate"
 
-    rs = None
-    two_engine = None
-    if "hr" in methods:
-        rs = generate_w(ds, j_hat, engine.factors.F_hat, B,
-                        np.random.SeedSequence([master_seed, rep, 1]),
-                        kmax=kmax, half_selection_size=len(j_hat))
-        if side != SIDE_ONE:
-            two_engine = StatisticEngine(
-                ds.X, StatConfig(kmax=kmax, q=q, side=SIDE_TWO))
-
     for j in j_hat:
         j = int(j)
-        bt = float(beta.values[j])
         for method in methods:
-            lb, ub, flags = math.nan, math.inf, "ok"
-            try:
-                if method == "t":
-                    rep_t = t_interval(ds.X, ds.Y, j_hat, j, alpha, side)
-                    lb, ub = rep_t.lower, rep_t.upper
-                elif method == "iv":
-                    rep_iv = iv_interval(fit.estimate, fit.cov, j, alpha, side)
-                    lb, ub = rep_iv.lower, rep_iv.upper
-                elif method == "ps":
-                    rep_ps = ps_interval(ds.X, ds.Y, fit.selection, j, alpha,
-                                         PS_SIGMA[setting])
-                    lb, ub = rep_ps.lower, rep_ps.upper
-                elif method == "hr":
-                    if side == SIDE_ONE:
-                        rep_hr = hybrid_ci_one_sided(
-                            ds.X, ds.Y, j, rs, alpha,
-                            stat_cfg=stat_cfg, engine=engine)
-                    else:
-                        rep_hr = hybrid_ci_two_sided(
-                            ds.X, ds.Y, j, rs, alpha,
-                            stat_cfg=two_engine.cfg, engine=two_engine)
-                    lb, ub = rep_hr.lower, rep_hr.upper
-                    if not rep_hr.diagnostics.get("converged", True):
-                        flags = "nonconverged"
-                    elif rep_hr.diagnostics.get("fallbacks", 0):
-                        flags = "fallback"
-            except (SingularGramError, InfeasibleTruncationError,
-                    np.linalg.LinAlgError) as exc:
-                flags = f"failed:{type(exc).__name__}"
-            out["intervals"].append((j, bt, method, lb, ub, flags))
+            lb, ub, flags = interval(method, j, ds, engine, fit, alpha, rs,
+                                     PS_SIGMA[setting])
+            out["intervals"].append((j, float(beta.values[j]), method, lb, ub,
+                                     flags))
     return out
 
 

@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from .factor_model import complement_projection, estimate_factors
 from .inference import (
-    COV_HAC,
+    CovEstimate,
     IntervalReport,
     IvEstimate,
     PipelineFit,
@@ -52,7 +51,6 @@ class GridConfig:
 
     n_points: int = 81
     half_width_sigmas: float = 4.0
-    refine: bool = True
     min_conditioned: int = MIN_CONDITIONED
 
 
@@ -72,26 +70,26 @@ class StatisticEngine:
         self.kn = cfg.kn if cfg.kn is not None else default_iterations(self.n, self.p)
         self.factors = estimate_factors(self.X, min(cfg.kmax, self.n, self.p))
         self.x_tilde = complement_projection(self.factors.F_hat, self.X)
-        self._gram_full: np.ndarray | None = None
 
-    @property
-    def gram_full(self) -> np.ndarray:
-        if self._gram_full is None:
-            self._gram_full = self.x_tilde.T @ self.x_tilde
-        return self._gram_full
+    def estimate(self, J: np.ndarray, y: np.ndarray) -> tuple[IvEstimate, CovEstimate]:
+        """Projected-design estimate and sandwich covariance on the set J.
+
+        The one path for observed and synthetic responses alike: the
+        projected gram must pass the ``solve_gram`` condition guard
+        (``SingularGramError`` otherwise).
+        """
+        xt = self.x_tilde[:, J]
+        gram = xt.T @ xt
+        beta = solve_gram(gram, xt.T @ y) if len(J) else np.zeros(0)
+        est = IvEstimate(j=J, beta_tilde=beta, x_tilde=xt, gram=gram,
+                         residuals=y - self.X[:, J] @ beta)
+        return est, covariance(est, self.cfg.q)
 
     def fit(self, Y: np.ndarray) -> PipelineFit:
         """Selection, projected estimate, and sandwich variance for one response."""
         sel = oga_hdbic(self.X, Y, self.kn)
-        J = sel.j_hat
-        xt = self.x_tilde[:, J]
-        gram = xt.T @ xt
-        beta = solve_gram(gram, xt.T @ Y) if len(J) else np.zeros(0)
-        resid = Y - self.X[:, J] @ beta
-        est = IvEstimate(j=J, beta_tilde=beta, x_tilde=xt, gram=gram,
-                         residuals=resid)
-        cov = covariance(est, self.cfg.cov_mode, self.cfg.q)
-        sigma = np.sqrt(np.diag(cov.V) / self.n) if len(J) else np.zeros(0)
+        est, cov = self.estimate(sel.j_hat, Y)
+        sigma = np.sqrt(np.diag(cov.V) / self.n)
         return PipelineFit(selection=sel, estimate=est, cov=cov, sigma=sigma)
 
     def statistics_batch(
@@ -100,57 +98,61 @@ class StatisticEngine:
         """Statistic for each column of Y_batch, with a selection mask.
 
         Returns ``(stats, selected, failures)``: unselected responses carry
-        the sentinel and ``selected`` False; numerically failed resamples
-        carry NaN (still marked selected) and count as failures.
+        the sentinel and ``selected`` False; resamples whose gram fails the
+        guard or whose variance is not positive carry NaN (still marked
+        selected) and count as failures.
         """
-        n, p = self.n, self.p
         sel, resid_norms, m_actual = oga_path_batch(
             self.X, Y_batch, self.kn, self.col_norms
         )
-        proj_rhs = self.x_tilde.T @ Y_batch  # (p, B)
         B = Y_batch.shape[1]
         out = np.full(B, self.cfg.sentinel)
         selected = np.zeros(B, dtype=bool)
         failures = 0
-        gram_full = self.gram_full
-        q = self.cfg.q if self.cfg.cov_mode == COV_HAC else 0
 
         for b in range(B):
             steps = m_actual[b]
             if steps == 0:
                 continue
-            m_star = hdbic(resid_norms[b, :steps], n, p)
-            J = sel[b, :m_star]
+            J = sel[b, :hdbic(resid_norms[b, :steps], self.n, self.p)]
             hits = np.flatnonzero(J == j)
             if len(hits) == 0:
                 continue
             selected[b] = True
             pos = int(hits[0])
-            gram = gram_full[np.ix_(J, J)]
             try:
-                c = cho_factor(gram, lower=False)
+                est, cov = self.estimate(J, Y_batch[:, b])
+                v_jj = cov.V[pos, pos]
             except np.linalg.LinAlgError:
-                out[b] = np.nan
-                failures += 1
-                continue
-            beta = cho_solve(c, proj_rhs[J, b])
-            resid = Y_batch[:, b] - self.X[:, J] @ beta
-            G = self.x_tilde[:, J] * resid[:, None]
-            S = G.T @ G
-            for nu in range(1, q + 1):
-                A = G[nu:].T @ G[:-nu]
-                S = S + (1.0 - nu / (q + 1.0)) * (A + A.T)
-            e = np.zeros(m_star)
-            e[pos] = 1.0
-            a_vec = cho_solve(c, e)
-            v_jj = n * float(a_vec @ S @ a_vec)
+                v_jj = math.nan
             if not v_jj > 0.0:
                 out[b] = np.nan
                 failures += 1
                 continue
-            value = (beta[pos] - theta) / math.sqrt(v_jj / n)
+            value = (est.beta_tilde[pos] - theta) / math.sqrt(v_jj / self.n)
             out[b] = abs(value) if self.cfg.side == SIDE_TWO else value
         return out, selected, failures
+
+
+def fit_pipeline(X: np.ndarray, Y: np.ndarray, cfg: StatConfig) -> PipelineFit:
+    """Selection, factor projection, estimate and variance for one response."""
+    return StatisticEngine(X, cfg).fit(Y)
+
+
+def test_statistic(
+    X: np.ndarray, Y: np.ndarray, j: int, theta: float, cfg: StatConfig
+) -> float:
+    """Standardized statistic for the hypothesis that coefficient j equals theta.
+
+    Selection is part of the statistic: when column j is not selected the
+    sentinel is returned (0 two-sided, -inf one-sided).
+    """
+    fit = fit_pipeline(X, Y, cfg)
+    pos = fit.position(j)
+    if pos is None:
+        return cfg.sentinel
+    value = (fit.estimate.beta_tilde[pos] - theta) / fit.sigma[pos]
+    return abs(value) if cfg.side == SIDE_TWO else value
 
 
 def _order_statistic(values: np.ndarray, level: float) -> float:
@@ -164,12 +166,6 @@ def _order_statistic(values: np.ndarray, level: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
-def _conditioned(stats: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    """Resamples contributing to the quantile: selected and non-failed."""
-    keep = selected & np.isfinite(stats)
-    return stats[keep]
-
-
 def _synthetic_batch(
     X: np.ndarray, rs: ResampleSet, j: int, theta: float
 ) -> np.ndarray:
@@ -179,11 +175,40 @@ def _synthetic_batch(
     return base[:, None] + rs.w_b.T + shift * X[:, j][:, None]
 
 
-def _require_member(rs: ResampleSet, j: int) -> None:
+def _observed(
+    X: np.ndarray, Y: np.ndarray, j: int, rs: ResampleSet, side: str,
+    stat_cfg: StatConfig | None, engine: StatisticEngine | None,
+) -> tuple[StatisticEngine, float, float]:
+    """Engine, observed estimate and standard error for a bound on column j."""
     if j not in set(int(v) for v in rs.j_hat):
         raise ValueError(f"column {j} is not in the selected set")
     if rs.w_b.shape[0] < MIN_RESAMPLES:
         raise ValueError(f"need at least {MIN_RESAMPLES} resamples")
+    stat_cfg = stat_cfg or StatConfig(side=side)
+    if stat_cfg.side != side:
+        raise ValueError(f"a {side}-sided interval needs a {side}-sided statistic")
+    if engine is None:
+        engine = StatisticEngine(X, stat_cfg)
+    fit = engine.fit(Y)
+    pos = fit.position(j)
+    if pos is None:
+        raise ValueError(f"column {j} not selected on the observed response")
+    return engine, float(fit.estimate.beta_tilde[pos]), float(fit.sigma[pos])
+
+
+def _conditioned(engine: StatisticEngine, X: np.ndarray, rs: ResampleSet,
+                 j: int, theta: float, diag: dict) -> np.ndarray:
+    """Resampled statistics at theta that enter the quantile.
+
+    Those are the resamples that selected column j and did not fail;
+    ``diag`` counts the evaluation and its failures.
+    """
+    stats, selected, failures = engine.statistics_batch(
+        _synthetic_batch(X, rs, j, theta), j, theta
+    )
+    diag["evaluations"] += 1
+    diag["failures"] += failures
+    return stats[selected & np.isfinite(stats)]
 
 
 def invert_lower_bound(
@@ -252,19 +277,7 @@ def hybrid_ci_one_sided(
     the resampled (1-alpha)-quantile, then bisects the bracketing interval
     to within delta = sigma * delta_scale.
     """
-    _require_member(rs, j)
-    stat_cfg = stat_cfg or StatConfig(side=SIDE_ONE)
-    if stat_cfg.side != SIDE_ONE:
-        raise ValueError("one-sided interval needs a one-sided statistic")
-    if engine is None:
-        engine = StatisticEngine(X, stat_cfg)
-
-    fit = engine.fit(Y)
-    pos = fit.position(j)
-    if pos is None:
-        raise ValueError(f"column {j} not selected on the observed response")
-    beta_obs = float(fit.estimate.beta_tilde[pos])
-    sigma = float(fit.sigma[pos])
+    engine, beta_obs, sigma = _observed(X, Y, j, rs, SIDE_ONE, stat_cfg, engine)
     level = 1.0 - alpha
     diag = {"evaluations": 0, "empty_conditioning": 0,
             "min_conditioned": np.inf, "failures": 0}
@@ -273,12 +286,7 @@ def hybrid_ci_one_sided(
         return (beta_obs - theta) / sigma
 
     def u_upper(theta: float) -> float:
-        stats, selected, failures = engine.statistics_batch(
-            _synthetic_batch(X, rs, j, theta), j, theta
-        )
-        cond = _conditioned(stats, selected)
-        diag["evaluations"] += 1
-        diag["failures"] += failures
+        cond = _conditioned(engine, X, rs, j, theta, diag)
         diag["min_conditioned"] = min(diag["min_conditioned"], len(cond))
         if len(cond) == 0:
             # No resample selected the column at this theta: there is no
@@ -311,30 +319,13 @@ def hybrid_ci_two_sided(
     outermost accepted points, tightened by one midpoint refinement on
     each side.
     """
-    _require_member(rs, j)
-    stat_cfg = stat_cfg or StatConfig(side=SIDE_TWO)
-    if stat_cfg.side != SIDE_TWO:
-        raise ValueError("two-sided interval needs a two-sided statistic")
-    if engine is None:
-        engine = StatisticEngine(X, stat_cfg)
-
-    fit = engine.fit(Y)
-    pos = fit.position(j)
-    if pos is None:
-        raise ValueError(f"column {j} not selected on the observed response")
-    beta_obs = float(fit.estimate.beta_tilde[pos])
-    sigma = float(fit.sigma[pos])
+    engine, beta_obs, sigma = _observed(X, Y, j, rs, SIDE_TWO, stat_cfg, engine)
     lo_fallback = float(norm.ppf(0.5 * (1.0 + alpha)))
     hi_fallback = float(norm.ppf(1.0 - 0.5 * alpha))
     diag = {"evaluations": 0, "fallbacks": 0, "failures": 0}
 
     def bounds_at(theta: float) -> tuple[float, float]:
-        stats, selected, failures = engine.statistics_batch(
-            _synthetic_batch(X, rs, j, theta), j, theta
-        )
-        cond = _conditioned(stats, selected)
-        diag["evaluations"] += 1
-        diag["failures"] += failures
+        cond = _conditioned(engine, X, rs, j, theta, diag)
         if len(cond) < grid_cfg.min_conditioned:
             diag["fallbacks"] += 1
             return lo_fallback, hi_fallback
@@ -363,15 +354,14 @@ def hybrid_ci_two_sided(
     hi_idx = int(len(inside) - 1 - np.argmax(inside[::-1]))
     theta_l = float(grid[lo_idx])
     theta_u = float(grid[hi_idx])
-    if grid_cfg.refine:
-        if lo_idx > 0:
-            mid = 0.5 * (grid[lo_idx - 1] + theta_l)
-            if accepted(mid)[0]:
-                theta_l = float(mid)
-        if hi_idx < len(grid) - 1:
-            mid = 0.5 * (theta_u + grid[hi_idx + 1])
-            if accepted(mid)[0]:
-                theta_u = float(mid)
+    if lo_idx > 0:
+        mid = 0.5 * (grid[lo_idx - 1] + theta_l)
+        if accepted(mid)[0]:
+            theta_l = float(mid)
+    if hi_idx < len(grid) - 1:
+        mid = 0.5 * (theta_u + grid[hi_idx + 1])
+        if accepted(mid)[0]:
+            theta_u = float(mid)
     diag["empty_region"] = False
     return IntervalReport(j=j, method="hr", lower=theta_l, upper=theta_u,
                           alpha=alpha, diagnostics=diag)

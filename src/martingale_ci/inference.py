@@ -1,11 +1,11 @@
-"""Test statistics with robust covariance, plus the closed-form baselines.
+"""Robust (HAC sandwich) covariance, plus the closed-form baselines.
 
-The statistic for testing a coefficient value runs the full selection
-pipeline on the supplied response: greedy selection with the BIC-style
-stopping rule, factor estimation, projected-design estimation, and a
-sandwich variance. A response for which the target column is not selected
-returns a sentinel (0 for two-sided use, -inf for one-sided use) so that
-quantiles can condition on selection.
+``StatConfig`` and ``PipelineFit`` describe the statistic that
+``hybrid.StatisticEngine`` evaluates: greedy selection with the BIC-style
+stopping rule, factor estimation, projected-design estimation, and the
+sandwich variance computed here. A response for which the target column is
+not selected yields a sentinel (0 for two-sided use, -inf for one-sided
+use) so that quantiles can condition on selection.
 """
 from __future__ import annotations
 
@@ -16,12 +16,8 @@ import numpy as np
 from scipy.special import log_ndtr
 from scipy.stats import norm, t as t_dist
 
-from .factor_model import estimate_factors
-from .iv_estimator import IvEstimate, iv_estimate, solve_gram
-from .oga import SelectionResult, oga_hdbic
-
-COV_UNCORRELATED = "uncorrelated"
-COV_HAC = "hac"
+from .iv_estimator import IvEstimate, solve_gram
+from .oga import SelectionResult
 
 SIDE_ONE = "one"
 SIDE_TWO = "two"
@@ -37,7 +33,6 @@ class CovEstimate:
 
     V: np.ndarray
     S: np.ndarray
-    mode: str
     q: int = 0
 
 
@@ -47,7 +42,6 @@ class StatConfig:
 
     kmax: int = 5
     q: int = 1
-    cov_mode: str = COV_HAC
     side: str = SIDE_ONE
     kn: int | None = None
 
@@ -68,43 +62,38 @@ class IntervalReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def covariance(
-    est: IvEstimate,
-    mode: str = COV_HAC,
-    q: int = 1,
-    squared_residuals: bool = True,
-) -> CovEstimate:
-    """Robust covariance of the projected-design estimator.
+def hac_meat(G: np.ndarray, q: int) -> np.ndarray:
+    """Bartlett-weighted long-run covariance of the rows g_t of G.
 
-    ``uncorrelated`` uses S = X~' diag(w^2) X~ (set ``squared_residuals``
-    False for the first-power variant, which is not positive semidefinite
-    and is kept only for sensitivity checks). ``hac`` adds Bartlett-weighted
-    autocovariances of g_t = w_t x~_t up to lag q.
+    S = sum_t g_t g_t' + sum_{nu=1..q} (1 - nu/(q+1)) (Gamma_nu + Gamma_nu')
+    with Gamma_nu = sum_t g_{t+nu} g_t'; q = 0 is the heteroskedasticity-
+    robust (uncorrelated) meat.
+    """
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    S = G.T @ G
+    for nu in range(1, q + 1):
+        A = G[nu:].T @ G[:-nu]
+        S = S + (1.0 - nu / (q + 1.0)) * (A + A.T)
+    return S
+
+
+def covariance(est: IvEstimate, q: int = 1) -> CovEstimate:
+    """HAC sandwich covariance of the projected-design estimator.
+
+    The meat is :func:`hac_meat` of g_t = w_t x~_t up to lag q, the bread
+    the inverse projected gram, which must pass the ``solve_gram`` guard.
     """
     x_tilde = est.x_tilde
-    w = est.residuals
-    n = x_tilde.shape[0]
-    if x_tilde.shape[1] == 0:
+    n, m = x_tilde.shape
+    if m == 0:
         empty = np.zeros((0, 0))
-        return CovEstimate(V=empty, S=empty, mode=mode, q=q if mode == COV_HAC else 0)
-    if mode == COV_UNCORRELATED:
-        diag = w**2 if squared_residuals else w
-        S = x_tilde.T @ (x_tilde * diag[:, None])
-    elif mode == COV_HAC:
-        if q < 0:
-            raise ValueError("q must be nonnegative")
-        G = x_tilde * w[:, None]
-        S = G.T @ G
-        for nu in range(1, q + 1):
-            A = G[nu:].T @ G[:-nu]
-            S = S + (1.0 - nu / (q + 1.0)) * (A + A.T)
-    else:
-        raise ValueError(f"unknown covariance mode {mode!r}")
-
-    inv_gram_s = solve_gram(est.gram, S)
-    V = n * solve_gram(est.gram, inv_gram_s.T).T
+        return CovEstimate(V=empty, S=empty, q=q)
+    S = hac_meat(x_tilde * est.residuals[:, None], q)
+    inv_gram = solve_gram(est.gram, np.eye(m))
+    V = n * inv_gram @ S @ inv_gram
     V = 0.5 * (V + V.T)
-    return CovEstimate(V=V, S=S, mode=mode, q=q if mode == COV_HAC else 0)
+    return CovEstimate(V=V, S=S, q=q)
 
 
 @dataclass
@@ -123,33 +112,6 @@ class PipelineFit:
     def position(self, j: int) -> int | None:
         hits = np.flatnonzero(self.j_hat == j)
         return int(hits[0]) if len(hits) else None
-
-
-def fit_pipeline(X: np.ndarray, Y: np.ndarray, cfg: StatConfig) -> PipelineFit:
-    """Run selection, factor projection, estimation and variance once."""
-    sel = oga_hdbic(X, Y, cfg.kn)
-    fe = estimate_factors(X, min(cfg.kmax, min(X.shape)))
-    est = iv_estimate(X, Y, sel.j_hat, fe.F_hat)
-    cov = covariance(est, cfg.cov_mode, cfg.q)
-    n = X.shape[0]
-    sigma = np.sqrt(np.diag(cov.V) / n)
-    return PipelineFit(selection=sel, estimate=est, cov=cov, sigma=sigma)
-
-
-def test_statistic(
-    X: np.ndarray, Y: np.ndarray, j: int, theta: float, cfg: StatConfig
-) -> float:
-    """Standardized statistic for the hypothesis that coefficient j equals theta.
-
-    Selection is part of the statistic: when column j is not selected the
-    sentinel is returned (0 two-sided, -inf one-sided).
-    """
-    fit = fit_pipeline(X, Y, cfg)
-    pos = fit.position(j)
-    if pos is None:
-        return cfg.sentinel
-    value = (fit.estimate.beta_tilde[pos] - theta) / fit.sigma[pos]
-    return abs(value) if cfg.side == SIDE_TWO else value
 
 
 def t_interval(

@@ -92,7 +92,3 @@ def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularGramError(condition) from exc
     return cho_solve(c, rhs)
 
-
-def residual_vector(est: IvEstimate) -> np.ndarray:
-    """Residuals Y - X_J beta against the unprojected selected columns."""
-    return est.residuals

@@ -7,9 +7,9 @@ iteration count is either fixed by the caller or chosen by a BIC-style
 criterion with a log(n) log(p) penalty over a path of ``default_iterations``
 steps.
 
-``oga`` is the single-response reference implementation; ``oga_path_batch``
-runs the same path for many response vectors against one design matrix and
-is the workhorse of the resampling loops.
+``oga`` (one response) and ``oga_path_batch`` (many responses against one
+design matrix, the workhorse of the resampling loops) share one loop,
+``_greedy_paths``.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def oga(X: np.ndarray, Y: np.ndarray, m: int) -> SelectionResult:
     Zero-norm columns are never selected; ties in the correlation argmax go
     to the lowest column index. If every remaining candidate has (numerically)
     zero correlation with the residual, the path stops early with fewer
-    than m steps.
+    than m steps. This is the single-response call of :func:`_greedy_paths`.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -70,63 +70,14 @@ def oga(X: np.ndarray, Y: np.ndarray, m: int) -> SelectionResult:
     if not 1 <= m <= min(n, p):
         raise ValueError(f"m must be in [1, min(n, p)]={min(n, p)}, got {m}")
 
-    col_norms = np.linalg.norm(X, axis=0)
-    usable = col_norms > 0.0
-    y_norm = np.linalg.norm(Y)
-
-    U = Y.copy()
-    Q = np.zeros((n, m))
-    R = np.zeros((m, m))
-    beta_q = np.zeros(m)
-    residual_norms = np.zeros(m)
-    j_hat: list[int] = []
-    early = False
-
-    for k in range(m):
-        scores = np.full(p, -1.0)
-        corr = X.T @ U
-        scores[usable] = np.abs(corr[usable]) / col_norms[usable]
-        if j_hat:
-            scores[j_hat] = -1.0
-        j_k = int(np.argmax(scores))
-        if scores[j_k] <= RESIDUAL_TOL * y_norm:
-            early = True
-            break
-
-        x = X[:, j_k]
-        if k:
-            r1 = Q[:, :k].T @ x
-            q = x - Q[:, :k] @ r1
-            # Re-orthogonalization pass keeps Q^T Q = I to ~1e-14.
-            dr = Q[:, :k].T @ q
-            q -= Q[:, :k] @ dr
-            r1 += dr
-        else:
-            r1 = np.zeros(0)
-            q = x.copy()
-        r2 = np.linalg.norm(q)
-        if r2 <= DEPENDENT_TOL * col_norms[j_k]:
-            early = True
-            break
-        q /= r2
-
-        b = q @ U
-        U = U - q * b
-        Q[:, k] = q
-        R[:k, k] = r1
-        R[k, k] = r2
-        beta_q[k] = b
-        residual_norms[k] = np.linalg.norm(U)
-        j_hat.append(j_k)
-
-    m_used = len(j_hat)
-    j_arr = np.asarray(j_hat, dtype=int)
-    Q, R = Q[:, :m_used], R[:m_used, :m_used]
-    beta_q, residual_norms = beta_q[:m_used], residual_norms[:m_used]
-    beta = _scatter_coefficients(p, j_arr, R, beta_q)
-    return SelectionResult(j_hat=j_arr, Q=Q, R=R, beta_q=beta_q, beta_oga=beta,
-                           residual_norms=residual_norms, m=m_used,
-                           early_stopped=early)
+    sel, resid_norms, m_actual, Qs, Rs, beta_q = _greedy_paths(X, Y[:, None], m)
+    k = int(m_actual[0])
+    j_arr = sel[0, :k]
+    R, bq = Rs[0, :k, :k], beta_q[0, :k]
+    return SelectionResult(j_hat=j_arr, Q=Qs[0, :, :k], R=R, beta_q=bq,
+                           beta_oga=_scatter_coefficients(p, j_arr, R, bq),
+                           residual_norms=resid_norms[0, :k], m=k,
+                           early_stopped=k < m)
 
 
 def truncate_selection(sel: SelectionResult, m: int, p: int) -> SelectionResult:
@@ -191,6 +142,22 @@ def oga_path_batch(
     (B, kn) of residual norms after each step (NaN padded) and
     ``m_actual`` is (B,) path lengths. Selection rules match :func:`oga`.
     """
+    sel, resid_norms, m_actual, *_ = _greedy_paths(X, Y_batch, kn, col_norms)
+    return sel, resid_norms, m_actual
+
+
+def _greedy_paths(
+    X: np.ndarray,
+    Y_batch: np.ndarray,
+    kn: int,
+    col_norms: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
+    """The loop behind :func:`oga` and :func:`oga_path_batch`.
+
+    Returns ``(sel, resid_norms, m_actual, Q, R, beta_q)``: the outputs of
+    :func:`oga_path_batch` plus, per response, the (n, kn) and (kn, kn) QR
+    factors of the selected columns and the response's coefficients on Q.
+    """
     X = np.asarray(X, dtype=float)
     Y_batch = np.asarray(Y_batch, dtype=float)
     n, p = X.shape
@@ -204,6 +171,8 @@ def oga_path_batch(
 
     U = Y_batch.copy()
     Qs = np.zeros((B, n, kn))
+    Rs = np.zeros((B, kn, kn))
+    beta_q = np.zeros((B, kn))
     sel = np.full((B, kn), -1, dtype=int)
     resid_norms = np.full((B, kn), np.nan)
     selected = np.zeros((B, p), dtype=bool)
@@ -225,9 +194,12 @@ def oga_path_batch(
             QkT = Qk.transpose(0, 2, 1)
             r1 = (QkT @ xb[:, :, None])[:, :, 0]
             qt = xb - (Qk @ r1[:, :, None])[:, :, 0]
+            # Re-orthogonalization pass keeps Q^T Q = I to ~1e-14.
             dr = (QkT @ qt[:, :, None])[:, :, 0]
             qt = qt - (Qk @ dr[:, :, None])[:, :, 0]
+            r1 = r1 + dr
         else:
+            r1 = np.zeros((B, 0))
             qt = xb.copy()
         r2 = np.linalg.norm(qt, axis=1)
         active &= r2 > DEPENDENT_TOL * col_norms[j_pick]
@@ -239,9 +211,12 @@ def oga_path_batch(
         upd = active
         U[:, upd] -= (q[upd] * bq[upd, None]).T
         Qs[upd, :, k] = q[upd]
+        Rs[upd, :k, k] = r1[upd]
+        Rs[upd, k, k] = r2[upd]
+        beta_q[upd, k] = bq[upd]
         sel[upd, k] = j_pick[upd]
         selected[rows[upd], j_pick[upd]] = True
         resid_norms[upd, k] = np.linalg.norm(U[:, upd], axis=0)
         m_actual[upd] = k + 1
 
-    return sel, resid_norms, m_actual
+    return sel, resid_norms, m_actual, Qs, Rs, beta_q

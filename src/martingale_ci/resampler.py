@@ -84,29 +84,19 @@ def combined_estimate(
     ds: Dataset,
     j_hat: np.ndarray,
     kmax: int = DEFAULT_KMAX,
-    half_selection_size: int | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Cross-fitted split-sample estimate for the selected set.
 
-    Each half selects its own set; coefficients for a half's selection are
+    Each half runs as many greedy steps as the full sample selected
+    (capped at half its length); coefficients for a half's selection are
     estimated on the *other* half (its own factor estimate included), so
-    selection and estimation never share data. With ``half_selection_size``
-    (normally the full-sample selected size) each half runs that many greedy
-    steps, which makes it rarer that a coefficient the full sample kept is
-    selected by neither half; without it each half picks its own size by
-    HDBIC. A column that neither half selects still gets 0 (``combine_beta``):
-    at LAI n=200, p=250 that happens to about 17% of selected coefficients.
+    selection and estimation never share data. A column that neither half
+    selects gets 0 (``combine_beta``): at LAI n=200, p=250 that happens to
+    about 17% of selected coefficients.
     """
     train, test = split(ds)
-
-    def _select(d: Dataset):
-        if half_selection_size is None:
-            return oga_hdbic(d.X, d.Y)
-        m = max(1, min(half_selection_size, d.n // 2, d.p))
-        return oga(d.X, d.Y, m)
-
-    sel_train = _select(train)
-    sel_test = _select(test)
+    sel_train, sel_test = (oga(d.X, d.Y, max(1, min(len(j_hat), d.n // 2, d.p)))
+                           for d in (train, test))
 
     def _cross_fit(data: Dataset, J: np.ndarray) -> dict[int, float]:
         if len(J) == 0:
@@ -125,13 +115,6 @@ def combined_estimate(
     return beta, diag
 
 
-def _ols_coefficients(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if design.shape[1] == 0:
-        return np.zeros(0)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return coef
-
-
 def generate_w(
     ds: Dataset,
     j_hat: np.ndarray,
@@ -139,62 +122,47 @@ def generate_w(
     B: int,
     seed: int | np.random.SeedSequence,
     kmax: int = DEFAULT_KMAX,
-    cross_indexed: bool = True,
-    half_selection_size: int | None = None,
-    factor_candidates: bool = False,
 ) -> ResampleSet:
     """Build the combined estimate and B block-resampled disturbances.
 
-    ``cross_indexed`` keeps the error-extraction regression exactly as
-    specified (each half is regressed on the columns the *other* half
-    selected before restricting to the common set); setting it False uses
-    same-side columns instead, for sensitivity analysis.
-
-    By default only the factor-complement columns compete in the
-    residual-structure selection. When a factor column is allowed to win
-    (``factor_candidates=True``) the common-factor part of the residual is
-    held fixed across draws, which leaves the resampled statistics
-    under-dispersed relative to their sandwich scale and visibly
-    undercovers weak signals; the flag is kept for sensitivity runs.
+    The error series is what remains of the combined-fit residual after
+    the factor-complement columns that both halves select for it are
+    regressed out; each half is regressed on the columns the *other* half
+    selected before restricting to that common set.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     j_hat = np.asarray(j_hat, dtype=int)
     X, Y, n = ds.X, ds.Y, ds.n
 
-    beta_tilde, diag = combined_estimate(
-        ds, j_hat, kmax=kmax, half_selection_size=half_selection_size)
+    beta_tilde, diag = combined_estimate(ds, j_hat, kmax=kmax)
     j_plus = j_hat[beta_tilde != 0.0]
     w_tilde = Y - X[:, j_hat] @ beta_tilde
     degenerate = len(j_plus) == 0
 
     # The factor-complement of everything not pinned down by the combined
-    # estimate, optionally with the factor columns themselves in front.
+    # estimate. Factor columns do not compete: a factor column that wins
+    # holds the common-factor part of the residual fixed across draws,
+    # which leaves the resampled statistics under-dispersed.
     comp = np.setdiff1d(np.arange(ds.p), j_plus)
-    projected = complement_projection(F_hat, X[:, comp])
-    if factor_candidates:
-        F = np.zeros((n, 0)) if F_hat is None else np.asarray(F_hat, dtype=float)
-        xf = np.hstack([F, projected])
-    else:
-        xf = projected
+    xf = complement_projection(F_hat, X[:, comp])
 
     h = n // 2
     sel_w_train = oga_hdbic(xf[:h], w_tilde[:h])
     sel_w_test = oga_hdbic(xf[h:], w_tilde[h:])
     j_w = np.intersect1d(sel_w_train.j_hat, sel_w_test.j_hat)
 
-    def _eps_half(rows: slice, own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    def _eps_half(rows: slice, other: np.ndarray) -> np.ndarray:
         w_half = w_tilde[rows]
         if len(j_w) == 0:
             return w_half.copy()
-        design_cols = other if cross_indexed else own
-        coef = _ols_coefficients(xf[rows][:, design_cols], w_half)
-        lookup = {int(c): coef[i] for i, c in enumerate(design_cols)}
+        coef, *_ = np.linalg.lstsq(xf[rows][:, other], w_half, rcond=None)
+        lookup = {int(c): coef[i] for i, c in enumerate(other)}
         coef_jw = np.array([lookup[int(c)] for c in j_w])
         return w_half - xf[rows][:, j_w] @ coef_jw
 
-    eps_train = _eps_half(slice(0, h), sel_w_train.j_hat, sel_w_test.j_hat)
-    eps_test = _eps_half(slice(h, n), sel_w_test.j_hat, sel_w_train.j_hat)
+    eps_train = _eps_half(slice(0, h), sel_w_test.j_hat)
+    eps_test = _eps_half(slice(h, n), sel_w_train.j_hat)
     eps_hat = np.concatenate([eps_train, eps_test])
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -211,8 +179,6 @@ def generate_w(
         "j_w": j_w,
         "empty_j_w": len(j_w) == 0,
         "degenerate_combined": degenerate,
-        "cross_indexed": cross_indexed,
-        "factor_candidates": factor_candidates,
         "iid_fallback": BlockPlan.for_length(n).iid_fallback,
     })
     return ResampleSet(j_hat=j_hat, beta_tilde=beta_tilde, j_plus=j_plus,

@@ -67,6 +67,31 @@ class TestCiCommand:
         rows = list(csv.DictReader(out.open()))
         assert all(float(r["lower"]) < np.inf for r in rows)
 
+    def test_hr_two_sided(self, dataset_csv, tmp_path):
+        out = tmp_path / "ci_hr2.csv"
+        code = main(["ci", "--in", str(dataset_csv), "--method", "hr",
+                     "--side", "two", "--B", "20", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert rows
+        for r in rows:
+            lower, upper = float(r["lower"]), float(r["upper"])
+            assert np.isfinite(lower) and np.isfinite(upper)
+            assert lower <= upper
+            assert (r["flags"] in ("ok", "fallback", "nonconverged")
+                    or r["flags"].startswith("failed:"))
+
+    def test_hr_too_few_resamples_rejected(self, dataset_csv, tmp_path, capsys):
+        out = tmp_path / "ci_hr.csv"
+        code = main(["ci", "--in", str(dataset_csv), "--method", "hr",
+                     "--B", "10", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ci: ") and err.count("\n") == 1
+        assert "--B >= 20" in err
+        assert not out.exists()
+
     def test_two_sided_t(self, dataset_csv, tmp_path):
         out = tmp_path / "ci_t2.csv"
         code = main(["ci", "--in", str(dataset_csv), "--method", "t",
@@ -108,11 +133,22 @@ class TestSimulateCommand:
                      "--p", "30", "--reps", "1", "--out", str(tmp_path)])
         assert code == 2
 
-    def test_unknown_method_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
-                  "--reps", "1", "--methods", "bogus",
-                  "--out", str(tmp_path)])
+    def test_unknown_method_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
+                     "--reps", "1", "--methods", "bogus",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "simulate: unknown methods: ['bogus']\n"
+
+    def test_too_few_resamples_for_hr_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
+                     "--reps", "1", "--methods", "t,hr", "--B", "10",
+                     "--out", str(tmp_path / "sim")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simulate: ") and err.count("\n") == 1
+        assert "B >= 20" in err
+        assert not (tmp_path / "sim").exists()
 
 
 SCRIPT = "martingale-ci"

@@ -64,6 +64,15 @@ class TestRunReplication:
         assert methods == {"t", "iv", "ps", "hr"}
         assert math.isfinite(res["amse"])
 
+    def test_amse_same_with_and_without_hr(self):
+        # hr takes the combined estimate from its resample set; it must be
+        # the one the amse of a run without hr uses.
+        with_hr = run_replication("IID", 60, 30, 7, 1, 20, 0.2, 3, 1,
+                                  ("t", "hr"), "one")
+        without = run_replication("IID", 60, 30, 7, 1, 20, 0.2, 3, 1,
+                                  ("t",), "one")
+        assert with_hr["amse"] == without["amse"]
+
     def test_seed_derivation_differs_by_rep(self):
         assert derive_dataset_seed(3, 0) != derive_dataset_seed(3, 1)
 
@@ -256,3 +265,15 @@ class TestTwoSidedHarness:
             ExperimentConfig(setting="IID", sizes=((60, 30),), reps=1,
                              methods=("ps",), side="two",
                              out_dir=tmp_path, workers=1)
+
+    def test_hr_needs_min_resamples(self, tmp_path):
+        import pytest as _pytest
+
+        def config(methods, B):
+            return ExperimentConfig(setting="IID", sizes=((60, 30),), reps=1,
+                                    B=B, methods=methods, out_dir=tmp_path)
+
+        with _pytest.raises(ValueError, match="B >= 20"):
+            config(("t", "hr"), 19)
+        assert config(("t", "hr"), 20).B == 20
+        assert config(("t", "iv"), 5).B == 5

@@ -6,12 +6,14 @@ from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.hybrid import (
     BisectConfig,
     StatisticEngine,
+    fit_pipeline,
     hybrid_ci_one_sided,
     hybrid_ci_two_sided,
     invert_lower_bound,
+    test_statistic as eval_statistic,
 )
-from martingale_ci.inference import (SIDE_ONE, SIDE_TWO, StatConfig,
-                                     test_statistic as eval_statistic)
+from martingale_ci.inference import SIDE_ONE, SIDE_TWO, StatConfig
+from martingale_ci.iv_estimator import CONDITION_LIMIT, SingularGramError
 from martingale_ci.oga import oga_hdbic
 from martingale_ci.resampler import ResampleSet, generate_w
 
@@ -48,7 +50,6 @@ class TestStatisticEngine:
         assert not selected[0]
 
     def test_engine_fit_matches_pipeline(self):
-        from martingale_ci.inference import fit_pipeline
         ds, _ = small_problem(3)
         cfg = StatConfig(kmax=3, q=1, side=SIDE_ONE)
         engine = StatisticEngine(ds.X, cfg)
@@ -58,6 +59,32 @@ class TestStatisticEngine:
         assert np.allclose(a.estimate.beta_tilde, b.estimate.beta_tilde,
                            atol=1e-9)
         assert np.allclose(a.sigma, b.sigma, rtol=1e-6)
+
+
+    def test_ill_conditioned_gram_fails_in_batch_as_in_fit(self):
+        # Columns 0 and 1 differ by 1e-6 of a direction the response loads
+        # on, so both are selected and their projected gram has condition
+        # number about 4e12. The other columns share a strong common
+        # direction, which the one estimated factor takes.
+        n, p = 40, 8
+        E, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p + 1)))
+        E *= np.sqrt(n)
+        X = np.empty((n, p))
+        X[:, 0] = E[:, 0]
+        X[:, 1] = E[:, 0] + 1e-6 * E[:, 1]
+        X[:, 2:] = 3.0 * E[:, [2]] + E[:, 3:]
+        Y = E[:, 0] + E[:, 1]
+        engine = StatisticEngine(X, StatConfig(kmax=1, q=1, side=SIDE_ONE))
+        J = oga_hdbic(X, Y, engine.kn).j_hat
+        xt = engine.x_tilde[:, J]
+        eigs = np.linalg.eigvalsh(xt.T @ xt)
+        assert sorted(J.tolist()) == [0, 1]
+        assert eigs[-1] / eigs[0] > CONDITION_LIMIT
+        with pytest.raises(SingularGramError):
+            engine.fit(Y)
+        stats, selected, failures = engine.statistics_batch(Y[:, None], 0, 0.0)
+        assert np.isnan(stats[0]) and selected[0]
+        assert failures == 1
 
 
 class TestInvertLowerBound:
@@ -99,8 +126,7 @@ class TestHybridOneSided:
         self.engine = StatisticEngine(self.ds.X, self.cfg)
         self.fit = self.engine.fit(self.ds.Y)
         self.rs = generate_w(self.ds, self.fit.j_hat,
-                             self.engine.factors.F_hat, B=40, seed=9,
-                             half_selection_size=len(self.fit.j_hat))
+                             self.engine.factors.F_hat, B=40, seed=9)
 
     def test_report_structure(self):
         j = int(self.fit.j_hat[0])

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 from scipy.stats import norm, t as t_dist
 
+from martingale_ci.hybrid import fit_pipeline, test_statistic as eval_statistic
 from martingale_ci.inference import (
-    COV_HAC,
-    COV_UNCORRELATED,
     CovEstimate,
     InvalidTruncationError,
     SIDE_ONE,
     SIDE_TWO,
     StatConfig,
     covariance,
-    fit_pipeline,
     iv_interval,
     t_interval,
-    test_statistic as eval_statistic,
     truncnorm_cdf,
     truncnorm_sf,
 )
@@ -34,10 +31,13 @@ def make_estimate(seed=0, n=40, m=3):
 
 class TestCovariance:
     def test_hac_q0_equals_uncorrelated_squared(self):
+        # q = 0 is the sandwich with meat X~' diag(w^2) X~.
         est = make_estimate()
-        a = covariance(est, COV_HAC, q=0)
-        b = covariance(est, COV_UNCORRELATED)
-        assert np.max(np.abs(a.V - b.V)) < 1e-10
+        a = covariance(est, q=0)
+        S = est.x_tilde.T @ (est.x_tilde * est.residuals[:, None] ** 2)
+        bread = np.linalg.inv(est.gram)
+        expect = len(est.residuals) * bread @ S @ bread
+        assert np.max(np.abs(a.V - expect)) < 1e-10
 
     def test_bartlett_weight_q1(self):
         est = make_estimate(1)
@@ -45,7 +45,7 @@ class TestCovariance:
         gamma0 = G.T @ G
         A = G[1:].T @ G[:-1]
         expect_S = gamma0 + 0.5 * (A + A.T)
-        got = covariance(est, COV_HAC, q=1)
+        got = covariance(est, q=1)
         assert np.allclose(got.S, expect_S, atol=1e-12)
 
     def test_scalar_hand_computation(self):
@@ -54,18 +54,8 @@ class TestCovariance:
         ones = np.ones((n, 1))
         est = IvEstimate(j=np.array([0]), beta_tilde=np.array([1.0]),
                          x_tilde=ones, gram=ones.T @ ones, residuals=resid)
-        cov = covariance(est, COV_HAC, q=0)
+        cov = covariance(est, q=0)
         assert np.isclose(cov.V[0, 0], n * np.sum(resid**2) / n**2)
-
-    def test_first_power_variant_kept_for_sensitivity(self):
-        est = make_estimate(2)
-        got = covariance(est, COV_UNCORRELATED, squared_residuals=False)
-        expect = est.x_tilde.T @ (est.x_tilde * est.residuals[:, None])
-        assert np.allclose(got.S, expect)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            covariance(make_estimate(), "bogus")
 
 
 class TestTestStatistic:
@@ -136,7 +126,7 @@ class TestBaselineIntervals:
         n, m = 25, 2
         est = make_estimate(6, n=n, m=m)
         V = np.eye(m) * n  # V_jj = n so sigma_j = 1
-        cov = CovEstimate(V=V, S=V, mode=COV_HAC, q=0)
+        cov = CovEstimate(V=V, S=V, q=0)
         rep = iv_interval(est, cov, 1, alpha=0.1)
         assert np.isclose(rep.lower, est.beta_tilde[1] - 1.2816, atol=5e-5)
         assert rep.upper == np.inf

@@ -5,7 +5,6 @@ from martingale_ci.factor_model import estimate_factors
 from martingale_ci.iv_estimator import (
     SingularGramError,
     iv_estimate,
-    residual_vector,
     solve_gram,
 )
 
@@ -51,7 +50,6 @@ class TestIvEstimate:
         est = iv_estimate(X, Y, J, fe.F_hat)
         assert np.allclose(est.residuals, Y - X[:, J] @ est.beta_tilde,
                            atol=1e-12)
-        assert np.allclose(residual_vector(est), est.residuals)
 
     def test_projected_design_orthogonal_to_factors(self):
         rng = np.random.default_rng(4)

@@ -71,8 +71,7 @@ class TestGenerateW:
         self.ds, self.beta = lai_dataset(7)
         self.sel = oga_hdbic(self.ds.X, self.ds.Y)
         self.F = estimate_factors(self.ds.X, 5).F_hat
-        self.rs = generate_w(self.ds, self.sel.j_hat, self.F, B=8, seed=11,
-                             half_selection_size=len(self.sel.j_hat))
+        self.rs = generate_w(self.ds, self.sel.j_hat, self.F, B=8, seed=11)
 
     def test_shapes(self):
         assert self.rs.w_b.shape == (8, self.ds.n)
@@ -101,8 +100,7 @@ class TestGenerateW:
         assert set(self.sel.j_hat[~zero].tolist()) == set(self.rs.j_plus.tolist())
 
     def test_determinism(self):
-        again = generate_w(self.ds, self.sel.j_hat, self.F, B=8, seed=11,
-                           half_selection_size=len(self.sel.j_hat))
+        again = generate_w(self.ds, self.sel.j_hat, self.F, B=8, seed=11)
         assert np.array_equal(self.rs.w_b, again.w_b)
         assert np.array_equal(self.rs.beta_tilde, again.beta_tilde)
 
@@ -117,9 +115,9 @@ class TestGenerateW:
         real = resampler_mod.oga_hdbic
 
         def fake(X, Y, kn=None):
-            # With half_selection_size set, the only oga_hdbic calls inside
-            # generate_w are the residual-structure selections; force them
-            # to pick disjoint singletons so the intersection is empty.
+            # The only oga_hdbic calls inside generate_w are the
+            # residual-structure selections; force them to pick disjoint
+            # singletons so the intersection is empty.
             res = real(X, Y, kn)
             calls["n"] += 1
             j = calls["n"] % X.shape[1]
@@ -129,8 +127,7 @@ class TestGenerateW:
                 residual_norms=res.residual_norms[:1], m=1)
 
         monkeypatch.setattr(resampler_mod, "oga_hdbic", fake)
-        rs = generate_w(self.ds, self.sel.j_hat, self.F, B=2, seed=5,
-                        half_selection_size=len(self.sel.j_hat))
+        rs = generate_w(self.ds, self.sel.j_hat, self.F, B=2, seed=5)
         assert rs.diagnostics["empty_j_w"]
         assert np.allclose(rs.eps_hat, rs.w_tilde)
 
@@ -140,14 +137,6 @@ class TestGenerateW:
         xt = complement_projection(self.F, self.ds.X[:, comp])
         assert np.linalg.norm(self.F.T @ xt) < 1e-8
 
-    def test_cross_indexed_switch(self):
-        rs_lit = generate_w(self.ds, self.sel.j_hat, self.F, B=4, seed=9,
-                            cross_indexed=True)
-        rs_same = generate_w(self.ds, self.sel.j_hat, self.F, B=4, seed=9,
-                             cross_indexed=False)
-        assert rs_lit.diagnostics["cross_indexed"]
-        assert not rs_same.diagnostics["cross_indexed"]
-
     def test_eps_hat_centers_on_noise(self):
         # With every relevant column selected on i.i.d. data the error
         # estimate recovers mean-zero noise.
@@ -155,7 +144,7 @@ class TestGenerateW:
         ds = generate(DgpConfig(setting="IID", n=2000, p=12, seed=3), beta)
         j_hat = np.arange(10)
         F = estimate_factors(ds.X, 3).F_hat
-        rs = generate_w(ds, j_hat, F, B=1, seed=1, half_selection_size=10)
+        rs = generate_w(ds, j_hat, F, B=1, seed=1)
         se = rs.eps_hat.std() / np.sqrt(len(rs.eps_hat))
         assert abs(rs.eps_hat.mean()) < 4 * se
 
@@ -165,13 +154,7 @@ class TestCombinedEstimate:
         beta = make_beta(40)
         ds = generate(DgpConfig(setting="IID", n=400, p=40, seed=21), beta)
         sel = oga_hdbic(ds.X, ds.Y)
-        bt, diag = combined_estimate(ds, sel.j_hat, half_selection_size=len(sel.j_hat))
+        bt, diag = combined_estimate(ds, sel.j_hat)
         for pos, j in enumerate(sel.j_hat):
             if beta.values[j] >= 0.4:
                 assert abs(bt[pos] - beta.values[j]) < 0.2
-
-    def test_hdbic_halves_mode(self):
-        ds, _ = lai_dataset(9)
-        sel = oga_hdbic(ds.X, ds.Y)
-        bt, diag = combined_estimate(ds, sel.j_hat)
-        assert len(bt) == len(sel.j_hat)
