@@ -101,13 +101,18 @@ def _cmd_ci(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     ds = load_dataset(args.input)
-    engine = StatisticEngine(ds.X, StatConfig(kmax=args.kmax, q=args.q, side=args.side))
-    fit = engine.fit(ds.Y)
-    j_hat = fit.selection.j_hat
-    rs = None
-    if args.method == "hr" and len(j_hat):
-        rs = generate_w(ds, j_hat, engine.factors.F_hat, args.B,
-                        np.random.SeedSequence(args.seed), kmax=args.kmax)
+    try:
+        engine = StatisticEngine(ds.X, StatConfig(kmax=args.kmax, q=args.q,
+                                                  side=args.side))
+        fit = engine.fit(ds.Y)
+        j_hat = fit.selection.j_hat
+        rs = None
+        if args.method == "hr" and len(j_hat):
+            rs = generate_w(ds, j_hat, engine.factors.F_hat, args.B,
+                            np.random.SeedSequence(args.seed), kmax=args.kmax)
+    except np.linalg.LinAlgError as exc:
+        print(f"ci: {exc}", file=sys.stderr)
+        return 2
     sigma_ps = args.sigma
     if args.method == "ps" and sigma_ps is None and len(j_hat):
         sigma_ps = _estimate_sigma(ds.X, ds.Y, j_hat)

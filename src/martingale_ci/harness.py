@@ -116,7 +116,8 @@ def interval(method: str, j: int, ds: Dataset, engine: StatisticEngine,
             raise ValueError(f"unknown method {method!r}")
         else:
             bound = hybrid_ci_one_sided if side == SIDE_ONE else hybrid_ci_two_sided
-            rep = bound(ds.X, ds.Y, j, rs, alpha, stat_cfg=engine.cfg, engine=engine)
+            rep = bound(ds.X, ds.Y, j, rs, alpha, stat_cfg=engine.cfg,
+                        engine=engine, fit=fit)
     except (InfeasibleTruncationError, np.linalg.LinAlgError) as exc:
         return math.nan, math.inf, f"failed:{type(exc).__name__}"
     flags = "ok"
@@ -143,30 +144,33 @@ def run_replication(
     """One full replication: dataset, selection, estimates, all intervals.
 
     Failures of a single method for a single coefficient are recorded in
-    that row's flags; they never abort the replication.
+    that row's flags; they never abort the replication. A ``LinAlgError``
+    in the observed fit or the resampling gives a replication with no
+    intervals, flagged ``failed:<Exception>``.
     """
     beta = make_beta(p)
     cfg = DgpConfig(setting=setting, n=n, p=p,
                     seed=derive_dataset_seed(master_seed, rep))
     ds = generate(cfg, beta)
 
-    engine = StatisticEngine(ds.X, StatConfig(kmax=kmax, q=q, side=side))
-    fit = engine.fit(ds.Y)
-    j_hat = fit.selection.j_hat
-    out = {"rep": rep, "m": int(len(j_hat)), "amse": math.nan,
-           "flags": "ok", "intervals": []}
-    if len(j_hat) == 0:
-        out["flags"] = "degenerate"
+    out = {"rep": rep, "m": "", "amse": math.nan, "flags": "ok", "intervals": []}
+    try:
+        engine = StatisticEngine(ds.X, StatConfig(kmax=kmax, q=q, side=side))
+        fit = engine.fit(ds.Y)
+        j_hat = fit.selection.j_hat
+        out["m"] = int(len(j_hat))
+        if len(j_hat) == 0:
+            out["flags"] = "degenerate"
+            return out
+        # hr's resample set carries the combined estimate the amse needs.
+        rs = (generate_w(ds, j_hat, engine.factors.F_hat, B,
+                         np.random.SeedSequence([master_seed, rep, 1]), kmax=kmax)
+              if "hr" in methods else None)
+        beta_comb = (combined_estimate(ds, j_hat, kmax=kmax)[0] if rs is None
+                     else rs.beta_tilde)
+    except np.linalg.LinAlgError as exc:
+        out["flags"] = f"failed:{type(exc).__name__}"
         return out
-
-    rs = None
-    if "hr" in methods:
-        rs = generate_w(ds, j_hat, engine.factors.F_hat, B,
-                        np.random.SeedSequence([master_seed, rep, 1]),
-                        kmax=kmax)
-        beta_comb = rs.beta_tilde
-    else:
-        beta_comb, _ = combined_estimate(ds, j_hat, kmax=kmax)
     err = beta_comb - beta.values[j_hat]
     out["amse"] = float(np.sqrt(np.mean(err**2)))
     if not np.any(beta_comb != 0.0):

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.stats import norm
 
 from .factor_model import complement_projection, estimate_factors
@@ -26,7 +27,7 @@ from .inference import (
     StatConfig,
     covariance,
 )
-from .iv_estimator import solve_gram
+from .iv_estimator import factor_gram
 from .oga import default_iterations, hdbic, oga_hdbic, oga_path_batch
 from .resampler import ResampleSet
 
@@ -57,9 +58,10 @@ class GridConfig:
 class StatisticEngine:
     """Response-independent state for repeated statistic evaluation.
 
-    Factor estimation and the factor-complement projection depend only on
-    the design matrix, so they are computed once and shared by every
-    observed and synthetic response evaluated against this design.
+    Factor estimation, the factor-complement projection and the gram rows
+    x_j'X of the columns greedy paths pick (``gram_cols``, never the full
+    p x p gram) depend only on the design matrix, so they are computed once
+    and shared by every response evaluated against this design.
     """
 
     def __init__(self, X: np.ndarray, cfg: StatConfig):
@@ -70,20 +72,27 @@ class StatisticEngine:
         self.kn = cfg.kn if cfg.kn is not None else default_iterations(self.n, self.p)
         self.factors = estimate_factors(self.X, min(cfg.kmax, self.n, self.p))
         self.x_tilde = complement_projection(self.factors.F_hat, self.X)
+        self.gram_cols: dict[int, np.ndarray] = {}
 
-    def estimate(self, J: np.ndarray, y: np.ndarray) -> tuple[IvEstimate, CovEstimate]:
+    def estimate(self, J: np.ndarray, Y: np.ndarray) -> tuple[IvEstimate, CovEstimate]:
         """Projected-design estimate and sandwich covariance on the set J.
 
-        The one path for observed and synthetic responses alike: the
-        projected gram must pass the ``solve_gram`` condition guard
-        (``SingularGramError`` otherwise).
+        The one path for observed and synthetic responses alike. ``Y`` is
+        one response (n,) or a block (n, b) of responses that share J; one
+        guarded factorization of the projected gram (``factor_gram``,
+        ``SingularGramError`` otherwise) gives both the coefficients and
+        the bread, and a block gives coefficients (m, b) and V (b, m, m).
         """
         xt = self.x_tilde[:, J]
         gram = xt.T @ xt
-        beta = solve_gram(gram, xt.T @ y) if len(J) else np.zeros(0)
+        beta, inv_gram = np.zeros((0,) + Y.shape[1:]), None
+        if len(J):
+            factor = factor_gram(gram)
+            beta = cho_solve(factor, xt.T @ Y, check_finite=False)
+            inv_gram = cho_solve(factor, np.eye(len(J)), check_finite=False)
         est = IvEstimate(j=J, beta_tilde=beta, x_tilde=xt, gram=gram,
-                         residuals=y - self.X[:, J] @ beta)
-        return est, covariance(est, self.cfg.q)
+                         residuals=Y - self.X[:, J] @ beta)
+        return est, covariance(est, self.cfg.q, inv_gram)
 
     def fit(self, Y: np.ndarray) -> PipelineFit:
         """Selection, projected estimate, and sandwich variance for one response."""
@@ -100,37 +109,34 @@ class StatisticEngine:
         Returns ``(stats, selected, failures)``: unselected responses carry
         the sentinel and ``selected`` False; resamples whose gram fails the
         guard or whose variance is not positive carry NaN (still marked
-        selected) and count as failures.
+        selected) and count as failures. Resamples that select the same
+        set are estimated together, with one factorization.
         """
         sel, resid_norms, m_actual = oga_path_batch(
-            self.X, Y_batch, self.kn, self.col_norms
+            self.X, Y_batch, self.kn, self.col_norms, self.gram_cols
         )
-        B = Y_batch.shape[1]
-        out = np.full(B, self.cfg.sentinel)
-        selected = np.zeros(B, dtype=bool)
-        failures = 0
+        out = np.full(Y_batch.shape[1], self.cfg.sentinel)
+        selected = np.zeros(Y_batch.shape[1], dtype=bool)
+        groups: dict[tuple, list[int]] = {}
+        m = hdbic(resid_norms, self.n, self.p)
+        for b in np.flatnonzero(m_actual):
+            J = sel[b, :m[b]]
+            if j in J:
+                groups.setdefault(tuple(J.tolist()), []).append(b)
 
-        for b in range(B):
-            steps = m_actual[b]
-            if steps == 0:
-                continue
-            J = sel[b, :hdbic(resid_norms[b, :steps], self.n, self.p)]
-            hits = np.flatnonzero(J == j)
-            if len(hits) == 0:
-                continue
-            selected[b] = True
-            pos = int(hits[0])
+        failures = 0
+        for J, members in groups.items():
+            selected[members] = True
+            pos = J.index(j)
             try:
-                est, cov = self.estimate(J, Y_batch[:, b])
-                v_jj = cov.V[pos, pos]
+                est, cov = self.estimate(np.array(J), Y_batch[:, members])
+                beta, v_jj = est.beta_tilde[pos], cov.V[:, pos, pos]
             except np.linalg.LinAlgError:
-                v_jj = math.nan
-            if not v_jj > 0.0:
-                out[b] = np.nan
-                failures += 1
-                continue
-            value = (est.beta_tilde[pos] - theta) / math.sqrt(v_jj / self.n)
-            out[b] = abs(value) if self.cfg.side == SIDE_TWO else value
+                beta, v_jj = np.nan, np.full(len(members), np.nan)
+            ok = v_jj > 0.0
+            failures += len(members) - int(np.count_nonzero(ok))
+            value = (beta - theta) / np.sqrt(np.where(ok, v_jj, np.nan) / self.n)
+            out[members] = np.abs(value) if self.cfg.side == SIDE_TWO else value
         return out, selected, failures
 
 
@@ -178,6 +184,7 @@ def _synthetic_batch(
 def _observed(
     X: np.ndarray, Y: np.ndarray, j: int, rs: ResampleSet, side: str,
     stat_cfg: StatConfig | None, engine: StatisticEngine | None,
+    fit: PipelineFit | None,
 ) -> tuple[StatisticEngine, float, float]:
     """Engine, observed estimate and standard error for a bound on column j."""
     if j not in set(int(v) for v in rs.j_hat):
@@ -189,7 +196,7 @@ def _observed(
         raise ValueError(f"a {side}-sided interval needs a {side}-sided statistic")
     if engine is None:
         engine = StatisticEngine(X, stat_cfg)
-    fit = engine.fit(Y)
+    fit = engine.fit(Y) if fit is None else fit
     pos = fit.position(j)
     if pos is None:
         raise ValueError(f"column {j} not selected on the observed response")
@@ -229,10 +236,11 @@ def invert_lower_bound(
     diag: dict = {}
     a = start
     bumps = 0
-    while u_upper(a) <= observed_stat(a) and bumps < 10:
+    while (below := u_upper(a) <= observed_stat(a)) and bumps < 10:
         a += 0.5 * sigma
         bumps += 1
     diag["start_bumps"] = bumps
+    diag["start_capped"] = below  # still below the quantile after 10 bumps
 
     r = a - cfg.r1_offset * sigma
     found = False
@@ -270,14 +278,15 @@ def hybrid_ci_one_sided(
     stat_cfg: StatConfig | None = None,
     bisect_cfg: BisectConfig = BisectConfig(),
     engine: StatisticEngine | None = None,
+    fit: PipelineFit | None = None,
 ) -> IntervalReport:
     """Lower confidence bound by bisecting the test-inversion boundary.
 
     Walks down from the point estimate until the observed statistic exceeds
     the resampled (1-alpha)-quantile, then bisects the bracketing interval
-    to within delta = sigma * delta_scale.
+    to within delta = sigma * delta_scale. ``fit`` is ``engine.fit(Y)``.
     """
-    engine, beta_obs, sigma = _observed(X, Y, j, rs, SIDE_ONE, stat_cfg, engine)
+    engine, beta_obs, sigma = _observed(X, Y, j, rs, SIDE_ONE, stat_cfg, engine, fit)
     level = 1.0 - alpha
     diag = {"evaluations": 0, "empty_conditioning": 0,
             "min_conditioned": np.inf, "failures": 0}
@@ -311,15 +320,16 @@ def hybrid_ci_two_sided(
     grid_cfg: GridConfig = GridConfig(),
     stat_cfg: StatConfig | None = None,
     engine: StatisticEngine | None = None,
+    fit: PipelineFit | None = None,
 ) -> IntervalReport:
     """Two-sided interval as the hull of the grid acceptance region.
 
     A grid point is accepted when the observed |statistic| lies between the
     alpha and (1-alpha) resample quantiles; the reported bounds are the
     outermost accepted points, tightened by one midpoint refinement on
-    each side.
+    each side; ``clipped_low``/``clipped_high`` flag an accepted grid end.
     """
-    engine, beta_obs, sigma = _observed(X, Y, j, rs, SIDE_TWO, stat_cfg, engine)
+    engine, beta_obs, sigma = _observed(X, Y, j, rs, SIDE_TWO, stat_cfg, engine, fit)
     lo_fallback = float(norm.ppf(0.5 * (1.0 + alpha)))
     hi_fallback = float(norm.ppf(1.0 - 0.5 * alpha))
     diag = {"evaluations": 0, "fallbacks": 0, "failures": 0}
@@ -342,6 +352,7 @@ def hybrid_ci_two_sided(
     grid = np.linspace(beta_obs - half, beta_obs + half, grid_cfg.n_points)
     results = [accepted(theta) for theta in grid]
     inside = np.array([r[0] for r in results])
+    diag.update(clipped_low=bool(inside[0]), clipped_high=bool(inside[-1]))
 
     if not inside.any():
         violations = np.array([r[1] for r in results])

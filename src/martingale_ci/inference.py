@@ -67,32 +67,36 @@ def hac_meat(G: np.ndarray, q: int) -> np.ndarray:
 
     S = sum_t g_t g_t' + sum_{nu=1..q} (1 - nu/(q+1)) (Gamma_nu + Gamma_nu')
     with Gamma_nu = sum_t g_{t+nu} g_t'; q = 0 is the heteroskedasticity-
-    robust (uncorrelated) meat.
+    robust (uncorrelated) meat. G may carry leading batch axes, (..., n, m).
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    S = G.T @ G
+    Gt = np.swapaxes(G, -1, -2)
+    S = Gt @ G
     for nu in range(1, q + 1):
-        A = G[nu:].T @ G[:-nu]
-        S = S + (1.0 - nu / (q + 1.0)) * (A + A.T)
+        A = Gt[..., nu:] @ G[..., :-nu, :]
+        S = S + (1.0 - nu / (q + 1.0)) * (A + np.swapaxes(A, -1, -2))
     return S
 
 
-def covariance(est: IvEstimate, q: int = 1) -> CovEstimate:
+def covariance(est: IvEstimate, q: int = 1,
+               inv_gram: np.ndarray | None = None) -> CovEstimate:
     """HAC sandwich covariance of the projected-design estimator.
 
     The meat is :func:`hac_meat` of g_t = w_t x~_t up to lag q, the bread
-    the inverse projected gram, which must pass the ``solve_gram`` guard.
+    the inverse projected gram (``inv_gram`` if given, else guarded by
+    ``solve_gram``). Residuals (n, b) of b responses give V (b, m, m).
     """
     x_tilde = est.x_tilde
     n, m = x_tilde.shape
     if m == 0:
         empty = np.zeros((0, 0))
         return CovEstimate(V=empty, S=empty, q=q)
-    S = hac_meat(x_tilde * est.residuals[:, None], q)
-    inv_gram = solve_gram(est.gram, np.eye(m))
+    S = hac_meat(x_tilde * est.residuals.T[..., None], q)
+    if inv_gram is None:
+        inv_gram = solve_gram(est.gram, np.eye(m))
     V = n * inv_gram @ S @ inv_gram
-    V = 0.5 * (V + V.T)
+    V = 0.5 * (V + np.swapaxes(V, -1, -2))
     return CovEstimate(V=V, S=S, q=q)
 
 

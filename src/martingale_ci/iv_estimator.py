@@ -73,22 +73,20 @@ def iv_estimate(
                       residuals=residuals)
 
 
-def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve gram @ beta = rhs with a condition-number guard.
+def factor_gram(gram: np.ndarray) -> tuple:
+    """Cholesky factor of a projected gram matrix, behind a condition guard.
 
     Raises SingularGramError instead of silently regularizing when the
-    gram matrix is ill conditioned.
+    gram matrix is ill conditioned, indefinite, or not finite.
     """
     gram = np.asarray(gram, dtype=float)
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[-1] <= 0.0 or eigs[0] <= 0.0:
-        raise SingularGramError(np.inf)
-    condition = eigs[-1] / eigs[0]
-    if condition > CONDITION_LIMIT:
+    eigs = np.linalg.eigvalsh(gram) if np.isfinite(gram).all() else [np.nan]
+    condition = eigs[-1] / eigs[0] if eigs[0] > 0.0 else np.inf
+    if not condition <= CONDITION_LIMIT:  # also catches NaN
         raise SingularGramError(condition)
-    try:
-        c = cho_factor(gram, lower=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise SingularGramError(condition) from exc
-    return cho_solve(c, rhs)
+    return cho_factor(gram, lower=False, check_finite=False)
 
+
+def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve gram @ beta = rhs through :func:`factor_gram`."""
+    return cho_solve(factor_gram(gram), rhs, check_finite=False)

@@ -8,8 +8,14 @@ criterion with a log(n) log(p) penalty over a path of ``default_iterations``
 steps.
 
 ``oga`` (one response) and ``oga_path_batch`` (many responses against one
-design matrix, the workhorse of the resampling loops) share one loop,
-``_greedy_paths``.
+design, the workhorse of the resampling loops) share one loop,
+``_greedy_paths``. It works in Gram space, with no n-vector per step: it
+updates C = X'U and the rows q_i'X from the rows x_j'X of picked columns
+(r1 = Q'x_j, r2^2 = x_j'x_j - |r1|^2, q'X = (x_j'X - r1'Q'X) / r2, C -= q'X
+C_j / r2, ||U||^2 = ||y||^2 - sum (C_j / r2)^2). Where a difference cancels,
+that response takes the step in n-space: the distance of x_j to the span if
+r2^2 < 1e-6 x_j'x_j (so ``DEPENDENT_TOL`` keeps its meaning), the residual
+y - X_J beta if ||U||^2 < 1e-8 ||y||^2 (so an exact fit has residual 0).
 """
 from __future__ import annotations
 
@@ -70,11 +76,11 @@ def oga(X: np.ndarray, Y: np.ndarray, m: int) -> SelectionResult:
     if not 1 <= m <= min(n, p):
         raise ValueError(f"m must be in [1, min(n, p)]={min(n, p)}, got {m}")
 
-    sel, resid_norms, m_actual, Qs, Rs, beta_q = _greedy_paths(X, Y[:, None], m)
+    sel, resid_norms, m_actual, Rs, beta_q = _greedy_paths(X, Y[:, None], m)
     k = int(m_actual[0])
-    j_arr = sel[0, :k]
-    R, bq = Rs[0, :k, :k], beta_q[0, :k]
-    return SelectionResult(j_hat=j_arr, Q=Qs[0, :, :k], R=R, beta_q=bq,
+    j_arr, R, bq = sel[0, :k], Rs[0, :k, :k], beta_q[0, :k]
+    Q = solve_triangular(R, X[:, j_arr].T, trans="T").T  # X_J R^-1
+    return SelectionResult(j_hat=j_arr, Q=Q, R=R, beta_q=bq,
                            beta_oga=_scatter_coefficients(p, j_arr, R, bq),
                            residual_norms=resid_norms[0, :k], m=k,
                            early_stopped=k < m)
@@ -105,15 +111,17 @@ def hdbic(residual_norms: np.ndarray, n: int, p: int) -> int:
     """Iteration count minimizing n log||U^(k)||^2 + k log(n) log(p).
 
     Ties go to the smallest k. An exactly zero residual norm wins
-    immediately (its criterion value is -inf).
+    immediately (its criterion value is -inf). Rows of a 2-d array are
+    paths, NaN past their ends, and give one count each.
     """
     rn = np.asarray(residual_norms, dtype=float)
-    if rn.ndim != 1 or len(rn) == 0:
-        raise ValueError("residual_norms must be a nonempty 1-d array")
-    ks = np.arange(1, len(rn) + 1)
+    if rn.ndim not in (1, 2) or rn.shape[-1] == 0:
+        raise ValueError("residual_norms must be a nonempty 1-d or 2-d array")
+    ks = np.arange(1, rn.shape[-1] + 1)
     with np.errstate(divide="ignore"):
         crit = n * np.log(rn**2) + ks * np.log(n) * np.log(p)
-    return int(np.argmin(crit)) + 1
+    m = np.argmin(np.where(np.isnan(crit), np.inf, crit), axis=-1) + 1
+    return int(m) if rn.ndim == 1 else m
 
 
 def oga_hdbic(X: np.ndarray, Y: np.ndarray, kn: int | None = None) -> SelectionResult:
@@ -134,6 +142,7 @@ def oga_path_batch(
     Y_batch: np.ndarray,
     kn: int,
     col_norms: np.ndarray | None = None,
+    gram_cols: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy selection paths for many responses against one design.
 
@@ -141,8 +150,11 @@ def oga_path_batch(
     selected column indices in order (-1 padded), ``resid_norms`` is
     (B, kn) of residual norms after each step (NaN padded) and
     ``m_actual`` is (B,) path lengths. Selection rules match :func:`oga`.
+    ``gram_cols`` (column index to x_j'X) is filled as columns are picked
+    and may be shared by calls against the same X.
     """
-    sel, resid_norms, m_actual, *_ = _greedy_paths(X, Y_batch, kn, col_norms)
+    sel, resid_norms, m_actual, *_ = _greedy_paths(X, Y_batch, kn, col_norms,
+                                                   gram_cols)
     return sel, resid_norms, m_actual
 
 
@@ -151,72 +163,78 @@ def _greedy_paths(
     Y_batch: np.ndarray,
     kn: int,
     col_norms: np.ndarray | None = None,
+    gram_cols: dict | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """The loop behind :func:`oga` and :func:`oga_path_batch`.
+    """The loop behind :func:`oga` and :func:`oga_path_batch`, in Gram space.
 
-    Returns ``(sel, resid_norms, m_actual, Q, R, beta_q)``: the outputs of
-    :func:`oga_path_batch` plus, per response, the (n, kn) and (kn, kn) QR
-    factors of the selected columns and the response's coefficients on Q.
+    Returns ``(sel, resid_norms, m_actual, R, beta_q)``: the outputs of
+    :func:`oga_path_batch` plus, per response, the (kn, kn) R factor of the
+    selected columns and the response's coefficients on Q = X_J R^-1.
+    ``gram_cols`` caches the rows x_j'X of picked columns across calls.
     """
     X = np.asarray(X, dtype=float)
     Y_batch = np.asarray(Y_batch, dtype=float)
     n, p = X.shape
     B = Y_batch.shape[1]
-    kn = min(kn, min(n, p))
+    kn = min(kn, n, p)
     if col_norms is None:
         col_norms = np.linalg.norm(X, axis=0)
-    zero_cols = col_norms <= 0.0
-    safe_norms = np.where(zero_cols, 1.0, col_norms)
-    stop_tol = RESIDUAL_TOL * np.linalg.norm(Y_batch, axis=0)
+    gram_cols = {} if gram_cols is None else gram_cols
+    safe_norms = np.where(col_norms <= 0.0, 1.0, col_norms)
+    yy = np.einsum("nb,nb->b", Y_batch, Y_batch)
+    stop_tol = RESIDUAL_TOL * np.sqrt(yy)
 
-    U = Y_batch.copy()
-    Qs = np.zeros((B, n, kn))
-    Rs = np.zeros((B, kn, kn))
-    beta_q = np.zeros((B, kn))
-    sel = np.full((B, kn), -1, dtype=int)
+    C = Y_batch.T @ X  # (B, p): correlations X'U with the current residuals
+    XtQ = np.zeros((B, kn, p))  # rows q_i'X of the implicit Q
+    rss, Rs, beta_q = yy.copy(), np.zeros((B, kn, kn)), np.zeros((B, kn))
+    sel, m_actual = np.full((B, kn), -1, dtype=int), np.zeros(B, dtype=int)
     resid_norms = np.full((B, kn), np.nan)
-    selected = np.zeros((B, p), dtype=bool)
-    active = np.ones(B, dtype=bool)
-    m_actual = np.zeros(B, dtype=int)
-    rows = np.arange(B)
+    excluded = np.tile(col_norms <= 0.0, (B, 1))  # zero and selected columns
+    active, rows = np.ones(B, dtype=bool), np.arange(B)
 
     for k in range(kn):
-        scores = (np.abs(X.T @ U) / safe_norms[:, None]).T  # (B, p)
-        scores[:, zero_cols] = -1.0
-        scores[selected] = -1.0
+        scores = np.abs(C) / safe_norms
+        scores[excluded] = -1.0
         j_pick = np.argmax(scores, axis=1)
-        s_max = scores[rows, j_pick]
-        active &= s_max > stop_tol
-
-        xb = X[:, j_pick].T  # (B, n)
-        if k:
-            Qk = Qs[:, :, :k]
-            QkT = Qk.transpose(0, 2, 1)
-            r1 = (QkT @ xb[:, :, None])[:, :, 0]
-            qt = xb - (Qk @ r1[:, :, None])[:, :, 0]
-            # Re-orthogonalization pass keeps Q^T Q = I to ~1e-14.
-            dr = (QkT @ qt[:, :, None])[:, :, 0]
-            qt = qt - (Qk @ dr[:, :, None])[:, :, 0]
-            r1 = r1 + dr
-        else:
-            r1 = np.zeros((B, 0))
-            qt = xb.copy()
-        r2 = np.linalg.norm(qt, axis=1)
+        active &= scores[rows, j_pick] > stop_tol
+        picks = j_pick.tolist()
+        missing = sorted(set(picks) - gram_cols.keys())
+        if missing:
+            gram_cols.update(zip(missing, X[:, missing].T @ X))
+        G_j = np.array([gram_cols[j] for j in picks])  # (B, p)
+        g_jj = G_j[rows, j_pick]
+        r1 = XtQ[rows, :k, j_pick]  # (B, k) = Q'x_j
+        r2sq = g_jj - np.einsum("bk,bk->b", r1, r1)
+        r2 = np.sqrt(np.maximum(r2sq, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # stopped paths
+            xq = (G_j - np.matmul(r1[:, None, :], XtQ[:, :k])[:, 0]) / r2[:, None]
+            bq = C[rows, j_pick] / r2
+            # Cancellation in r2^2: the distance to the span in n-space.
+            for b in (active & ~(r2sq >= 1e-6 * g_jj)).nonzero()[0]:
+                Q = np.linalg.qr(X[:, sel[b, :k]])[0]
+                qt = X[:, picks[b]] - Q @ (Q.T @ X[:, picks[b]])
+                qt -= Q @ (Q.T @ qt)
+                r2[b] = np.linalg.norm(qt)
+                xq[b], bq[b] = qt @ X / r2[b], qt @ Y_batch[:, b] / r2[b]
         active &= r2 > DEPENDENT_TOL * col_norms[j_pick]
         if not active.any():
             break
 
-        q = qt / np.where(r2 > 0.0, r2, 1.0)[:, None]
-        bq = np.einsum("bn,bn->b", q, U.T)
-        upd = active
-        U[:, upd] -= (q[upd] * bq[upd, None]).T
-        Qs[upd, :, k] = q[upd]
+        upd = slice(None) if active.all() else active  # a view when all run
+        C[upd] -= xq[upd] * bq[upd, None]
+        XtQ[upd, k] = xq[upd]
         Rs[upd, :k, k] = r1[upd]
         Rs[upd, k, k] = r2[upd]
         beta_q[upd, k] = bq[upd]
         sel[upd, k] = j_pick[upd]
-        selected[rows[upd], j_pick[upd]] = True
-        resid_norms[upd, k] = np.linalg.norm(U[:, upd], axis=0)
+        excluded[rows[upd], j_pick[upd]] = True
+        rss[upd] -= bq[upd] ** 2
+        # Cancellation in ||y||^2 - sum bq^2: recompute y - X_J beta.
+        for b in (active & (rss < 1e-8 * yy)).nonzero()[0]:
+            beta = solve_triangular(Rs[b, :k + 1, :k + 1], beta_q[b, :k + 1])
+            u = Y_batch[:, b] - X[:, sel[b, :k + 1]] @ beta
+            rss[b], C[b] = u @ u, u @ X
+        resid_norms[upd, k] = np.sqrt(rss[upd])
         m_actual[upd] = k + 1
 
-    return sel, resid_norms, m_actual, Qs, Rs, beta_q
+    return sel, resid_norms, m_actual, Rs, beta_q

@@ -12,7 +12,7 @@ import pytest
 
 import martingale_ci
 from martingale_ci.cli import main
-from martingale_ci.dgp import load_dataset
+from martingale_ci.dgp import Dataset, load_dataset, save_dataset
 
 
 class TestDgpCommand:
@@ -90,6 +90,20 @@ class TestCiCommand:
         err = capsys.readouterr().err
         assert err.startswith("ci: ") and err.count("\n") == 1
         assert "--B >= 20" in err
+        assert not out.exists()
+
+    def test_singular_observed_fit_exits_2(self, ill_conditioned_design,
+                                           tmp_path, capsys):
+        X, Y = ill_conditioned_design
+        data = tmp_path / "singular.csv"
+        save_dataset(Dataset(X=X, Y=Y), data)
+        out = tmp_path / "ci_t.csv"
+        code = main(["ci", "--in", str(data), "--method", "t", "--kmax", "1",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ci: projected gram matrix is singular")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_two_sided_t(self, dataset_csv, tmp_path):

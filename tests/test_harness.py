@@ -1,9 +1,13 @@
 import csv
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+from martingale_ci import harness
+from martingale_ci.dgp import Dataset
+from martingale_ci.hybrid import StatisticEngine
 from martingale_ci.harness import (
     ExperimentConfig,
     GROUP_SIZES,
@@ -19,6 +23,12 @@ from martingale_ci.harness import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def _store(tmp_path, result):
+    path = tmp_path / "records.csv"
+    harness._append_records(path, harness._records_from_result(result), True)
+    return path
 
 
 def tiny_config(out_dir, workers=1, reps=3):
@@ -72,6 +82,42 @@ class TestRunReplication:
         without = run_replication("IID", 60, 30, 7, 1, 20, 0.2, 3, 1,
                                   ("t",), "one")
         assert with_hr["amse"] == without["amse"]
+
+    def test_observed_fit_failure_becomes_a_flag(self, ill_conditioned_design,
+                                                 tmp_path, monkeypatch):
+        # The canonical coefficients need p >= 10; this design has 8.
+        X, Y = ill_conditioned_design
+        monkeypatch.setattr(harness, "make_beta",
+                            lambda p: SimpleNamespace(values=np.zeros(p)))
+        monkeypatch.setattr(harness, "generate",
+                            lambda cfg, beta: Dataset(X=X, Y=Y))
+        res = run_replication("LAI", 40, 8, 0, 0, 20, 0.2, 1, 1, ("t", "hr"),
+                              "one")
+        assert res["flags"] == "failed:SingularGramError"
+        assert res["intervals"] == [] and math.isnan(res["amse"])
+        rows = load_records(_store(tmp_path, res))
+        assert [(r["kind"], r["m"], r["amse"], r["flags"]) for r in rows] == \
+            [("rep", "", "", "failed:SingularGramError")]
+
+    def test_observed_fit_runs_once(self, monkeypatch):
+        # Every hr bound reuses the replication's observed fit.
+        calls = []
+        fit = StatisticEngine.fit
+        monkeypatch.setattr(StatisticEngine, "fit",
+                            lambda self, Y: calls.append(1) or fit(self, Y))
+        res = run_replication("IID", 60, 30, 7, 1, 20, 0.2, 3, 1, ("iv", "hr"),
+                              "one")
+        assert len(res["intervals"]) >= 4 and len(calls) == 1
+
+    def test_resampling_failure_becomes_a_flag(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(harness, "generate_w", singular)
+        res = run_replication("IID", 60, 30, 7, 1, 20, 0.2, 3, 1, ("t", "hr"),
+                              "one")
+        assert res["flags"] == "failed:LinAlgError"
+        assert res["m"] >= 1 and res["intervals"] == []
 
     def test_seed_derivation_differs_by_rep(self):
         assert derive_dataset_seed(3, 0) != derive_dataset_seed(3, 1)

@@ -5,7 +5,9 @@ from scipy.stats import norm
 from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.hybrid import (
     BisectConfig,
+    GridConfig,
     StatisticEngine,
+    _synthetic_batch,
     fit_pipeline,
     hybrid_ci_one_sided,
     hybrid_ci_two_sided,
@@ -14,7 +16,7 @@ from martingale_ci.hybrid import (
 )
 from martingale_ci.inference import SIDE_ONE, SIDE_TWO, StatConfig
 from martingale_ci.iv_estimator import CONDITION_LIMIT, SingularGramError
-from martingale_ci.oga import oga_hdbic
+from martingale_ci.oga import hdbic, oga_hdbic, oga_path_batch
 from martingale_ci.resampler import ResampleSet, generate_w
 
 
@@ -61,19 +63,8 @@ class TestStatisticEngine:
         assert np.allclose(a.sigma, b.sigma, rtol=1e-6)
 
 
-    def test_ill_conditioned_gram_fails_in_batch_as_in_fit(self):
-        # Columns 0 and 1 differ by 1e-6 of a direction the response loads
-        # on, so both are selected and their projected gram has condition
-        # number about 4e12. The other columns share a strong common
-        # direction, which the one estimated factor takes.
-        n, p = 40, 8
-        E, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p + 1)))
-        E *= np.sqrt(n)
-        X = np.empty((n, p))
-        X[:, 0] = E[:, 0]
-        X[:, 1] = E[:, 0] + 1e-6 * E[:, 1]
-        X[:, 2:] = 3.0 * E[:, [2]] + E[:, 3:]
-        Y = E[:, 0] + E[:, 1]
+    def test_ill_conditioned_gram_fails_in_batch_as_in_fit(self, ill_conditioned_design):
+        X, Y = ill_conditioned_design
         engine = StatisticEngine(X, StatConfig(kmax=1, q=1, side=SIDE_ONE))
         J = oga_hdbic(X, Y, engine.kn).j_hat
         xt = engine.x_tilde[:, J]
@@ -85,6 +76,40 @@ class TestStatisticEngine:
         stats, selected, failures = engine.statistics_batch(Y[:, None], 0, 0.0)
         assert np.isnan(stats[0]) and selected[0]
         assert failures == 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gram_fails_in_batch_as_in_fit(self, bad):
+        ds, _ = small_problem(1)
+        engine = StatisticEngine(ds.X, StatConfig(kmax=3, q=1, side=SIDE_ONE))
+        j = int(engine.fit(ds.Y).j_hat[0])
+        engine.x_tilde[:, j] = bad
+        with pytest.raises(SingularGramError):
+            engine.fit(ds.Y)
+        Yb = np.column_stack([ds.Y, ds.Y])
+        stats, selected, failures = engine.statistics_batch(Yb, j, 0.0)
+        assert np.isnan(stats).all() and selected.all()
+        assert failures == 2
+
+    @pytest.mark.parametrize("side", [SIDE_ONE, SIDE_TWO])
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_grouped_batch_matches_scalar_statistic(self, side, q):
+        ds, _ = small_problem(4, n=120, p=30)
+        cfg = StatConfig(kmax=3, q=q, side=side)
+        engine = StatisticEngine(ds.X, cfg)
+        fit = engine.fit(ds.Y)
+        j = int(fit.j_hat[0])
+        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=40, seed=3)
+        theta = float(fit.estimate.beta_tilde[0] - fit.sigma[0])
+        Yb = _synthetic_batch(ds.X, rs, j, theta)
+        sel, rn, m = oga_path_batch(ds.X, Yb, engine.kn)
+        sets = {tuple(sel[b, :hdbic(rn[b, :m[b]], ds.n, ds.p)]) for b in range(40)}
+        assert len(sets) >= 3
+        stats, selected, failures = engine.statistics_batch(Yb, j, theta)
+        assert failures == 0 and selected.sum() >= 30
+        for b in range(40):
+            scalar = eval_statistic(ds.X, Yb[:, b], j, theta, cfg)
+            assert np.isclose(stats[b], scalar, rtol=1e-10, atol=0.0), b
 
 
 class TestInvertLowerBound:
@@ -98,6 +123,7 @@ class TestInvertLowerBound:
         cfg = BisectConfig()
         lower, diag = invert_lower_bound(observed, u_upper, start, sigma, cfg)
         assert diag["converged"]
+        assert not diag["start_capped"]
         assert diag["bisection_iterations"] <= 40
         assert abs(lower - (start - 1.2 * sigma)) < cfg.delta_scale * sigma
 
@@ -117,6 +143,22 @@ class TestInvertLowerBound:
         lower, diag = invert_lower_bound(observed, u_upper, 0.0, 1.0,
                                          BisectConfig(r1_max_steps=5))
         assert not diag["converged"]
+
+    def test_start_cap_flagged(self):
+        # A quantile below the observed statistic everywhere: the start
+        # walks up its ten bumps and stops there, flagged, without an
+        # extra evaluation.
+        calls = []
+
+        def u_upper(theta):
+            calls.append(theta)
+            return -np.inf
+
+        lower, diag = invert_lower_bound(lambda theta: -theta, u_upper, 0.0,
+                                         1.0, BisectConfig())
+        assert diag["start_capped"]
+        assert diag["start_bumps"] == 10
+        assert calls[:12] == [0.5 * i for i in range(11)] + [3.0]
 
 
 class TestHybridOneSided:
@@ -229,6 +271,32 @@ class TestHybridTwoSided:
         lo_normal, hi_normal = beta_j - half, beta_j + half
         assert abs(rep.lower - lo_normal) < 0.1 * half
         assert abs(rep.upper - hi_normal) < 0.1 * half
+
+    def test_clipped_ends_flagged(self):
+        # Same oracle problem at B = 40; a grid of +-0.25 sigma lies inside
+        # the acceptance region, so both outermost points are accepted.
+        rng = np.random.default_rng(7)
+        n, p = 150, 6
+        X = rng.standard_normal((n, p))
+        Y = X @ np.array([1.2, -0.9, 0.7, 0.0, 0.0, 0.0]) + rng.standard_normal(n)
+        cfg = StatConfig(kmax=1, q=0, side=SIDE_TWO, kn=3)
+        engine = StatisticEngine(X, cfg)
+        fit = engine.fit(Y)
+        j = int(fit.j_hat[0])
+        w_tilde = Y - X[:, fit.j_hat] @ fit.estimate.beta_tilde
+        rs = ResampleSet(
+            j_hat=fit.j_hat, beta_tilde=fit.estimate.beta_tilde.copy(),
+            j_plus=fit.j_hat, w_tilde=w_tilde, eps_hat=w_tilde,
+            w_b=rng.standard_normal((40, n)))
+        narrow = hybrid_ci_two_sided(X, Y, j, rs, 0.1,
+                                     GridConfig(n_points=5, half_width_sigmas=0.25),
+                                     stat_cfg=cfg, engine=engine, fit=fit)
+        assert narrow.diagnostics["clipped_low"]
+        assert narrow.diagnostics["clipped_high"]
+        wide = hybrid_ci_two_sided(X, Y, j, rs, 0.1, GridConfig(n_points=21),
+                                   stat_cfg=cfg, engine=engine, fit=fit)
+        assert not wide.diagnostics["clipped_low"]
+        assert not wide.diagnostics["clipped_high"]
 
     def test_two_sided_tail_convention(self):
         # Nominal 80% two-sided coverage means alpha = 0.1 in each tail.

@@ -116,3 +116,13 @@ class TestSolveGram:
         gram = np.diag([1.0, 1e-14])
         with pytest.raises(SingularGramError):
             solve_gram(gram, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gram_rejected(self, bad):
+        # Comparisons with NaN are False, so the guard must be written to
+        # fail closed rather than rely on the factorization to notice.
+        for where in ((0, 0), (0, 1), (1, 1)):
+            gram = np.diag([2.0, 3.0])
+            gram[where] = gram[where[::-1]] = bad
+            with pytest.raises(SingularGramError):
+                solve_gram(gram, np.ones(2))

@@ -163,6 +163,113 @@ class TestBatchPath:
         assert m_act[0] == single.m
 
 
+def _basis(n, k, seed):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k)))[0]
+
+
+def _residual_norm(A, y):
+    # Householder projection: accurate to rounding whatever A's condition.
+    Q = np.linalg.qr(A)[0]
+    r = y - Q @ (Q.T @ y)
+    return np.linalg.norm(r - Q @ (Q.T @ r))
+
+
+def _check_batch(X, Yb, kn):
+    """Batch paths against B=1 ``oga`` and the refitting oracle.
+
+    Selections must agree exactly, and residual norms with the distance of
+    the response to the span of the oracle's columns after every step.
+    """
+    sel, resid, m_act = oga_path_batch(X, Yb, kn)
+    for b in range(Yb.shape[1]):
+        y = Yb[:, b]
+        single = oga(X, y, kn)
+        order, _ = naive_forward_stepwise(X, y, m_act[b])
+        assert m_act[b] == single.m
+        assert sel[b, :m_act[b]].tolist() == single.j_hat.tolist() == order
+        refit = [_residual_norm(X[:, order[:k]], y) for k in range(1, m_act[b] + 1)]
+        for got in (resid[b, :m_act[b]], single.residual_norms):
+            assert np.allclose(got, refit, rtol=1e-9,
+                               atol=1e-12 * np.linalg.norm(y))
+    return sel, resid, m_act
+
+
+class TestGramSpaceRescues:
+    """Cases where the Gram-space updates cancel and n-space takes over."""
+
+    def test_dependent_column_stops_the_path(self):
+        # Column 4 is column 1 plus 1e-12 along a direction the responses
+        # load on. Column 4 wins the first step; then column 1 is the only
+        # candidate with any correlation left, at a distance from the span
+        # below DEPENDENT_TOL, so the path stops where the refitting oracle
+        # (which has no such tolerance) would take it.
+        E = _basis(30, 8, 11)
+        X = E[:, :6].copy()
+        X[:, 4] = X[:, 1] + 1e-12 * E[:, 6]
+        Yb = np.column_stack([X[:, 1] + 10.0 * E[:, 6], X[:, 1] + 5.0 * E[:, 6]])
+        sel, _, m_act = oga_path_batch(X, Yb, 4)
+        for b in range(2):
+            single = oga(X, Yb[:, b], 4)
+            order, _ = naive_forward_stepwise(X, Yb[:, b], 2)
+            assert m_act[b] == single.m == 1 and single.early_stopped
+            assert sel[b, :1].tolist() == single.j_hat.tolist() == order[:1] == [4]
+            assert order[1] == 1
+
+    def test_near_dependent_column_measured_in_n_space(self):
+        # The same pair 1e-4 apart: r2^2 = G_jj - |r1|^2 cancels to 1e-8
+        # of G_jj, the n-space distance passes DEPENDENT_TOL, and the path
+        # goes on as the oracle's does, with its residual norms.
+        E = _basis(30, 8, 11)
+        X = E[:, :6] * np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+        X[:, 4] = X[:, 1] + 1e-4 * E[:, 6]
+        rest = X[:, [0, 2, 3, 5]]
+        Yb = np.column_stack([X[:, 1] + 10.0 * E[:, 6] + rest @ [1e-7, 2e-7, 3e-7, 4e-7],
+                              X[:, 1] + 5.0 * E[:, 6] + rest @ [8e-7, 6e-7, 4e-7, 2e-7]])
+        Yb += 0.3 * E[:, [7]]
+        sel, _, _ = _check_batch(X, Yb, 4)
+        assert sel[:, :2].tolist() == [[4, 1], [4, 1]]
+
+    def test_identical_columns_tie_to_lowest_index(self):
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((40, 10))
+        X[:, 7] = X[:, 3]
+        Yb = np.column_stack([2.0 * X[:, 3] + 0.1 * rng.standard_normal(40),
+                              3.0 * X[:, 0] + X[:, 3] + 0.1 * rng.standard_normal(40)])
+        sel, _, m_act = _check_batch(X, Yb, 5)
+        assert sel[0, 0] == 3 and sel[1, :2].tolist() == [0, 3]
+        assert 7 not in sel[:, :2]
+
+    def test_zero_column(self):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((30, 9))
+        X[:, 2] = 0.0
+        Yb = rng.standard_normal((30, 5))
+        sel, _, m_act = _check_batch(X, Yb, 8)
+        assert 2 not in sel
+
+    def test_exact_fits_zero_residual_and_hdbic_stops_there(self):
+        # Responses in the span of two and three columns, on a +-1 design
+        # whose columns are orthogonal, so the fits are exact in floating
+        # point, and on a random design, where they are exact to rounding.
+        H = np.array([[1.0]])
+        while H.shape[0] < 16:
+            H = np.block([[H, H], [H, -H]])
+        rng = np.random.default_rng(14)
+        for X, exact in ((H[:, 1:13], True), (rng.standard_normal((16, 12)), False)):
+            Yb = np.column_stack([X[:, [2, 5]] @ [3.0, -2.0],
+                                  X[:, [1, 4, 9]] @ [1.0, 2.0, 4.0],
+                                  X[:, [2, 5]] @ [1.0, 1.0]])
+            sel, resid, m_act = _check_batch(X, Yb, 6)
+            for b, size in enumerate((2, 3, 2)):
+                # Greedy steps may take a detour on the random design.
+                m = m_act[b]
+                assert m == size if exact else size <= m < 6
+                last = resid[b, m - 1]
+                assert last == 0.0 if exact else last < 1e-12 * np.linalg.norm(Yb[:, b])
+                assert np.all(resid[b, :m - 1] > 1e-3)
+                assert hdbic(resid[b, :m], 16, 12) == m
+
+
 class TestSelectionScale:
     def test_selected_size_large_factor_design(self):
         # Monte-Carlo check at the main experiment scale: the chosen m
