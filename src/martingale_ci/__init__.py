@@ -18,8 +18,6 @@ from .factor_model import (
     estimate_factors,
 )
 from .hybrid import (
-    BisectConfig,
-    GridConfig,
     StatisticEngine,
     fit_pipeline,
     hybrid_ci_one_sided,
@@ -35,7 +33,6 @@ from .inference import (
     hac_meat,
     iv_interval,
     t_interval,
-    truncnorm_cdf,
     truncnorm_sf,
 )
 from .iv_estimator import IvEstimate, SingularGramError, iv_estimate

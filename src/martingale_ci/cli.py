@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from .dgp import DgpConfig, SETTINGS, generate, load_dataset, make_beta, save_dataset
-from .harness import METHODS, ExperimentConfig, interval, run_experiment
-from .hybrid import MIN_RESAMPLES, StatisticEngine
+from .harness import (METHODS, ExperimentConfig, check_options, interval,
+                      run_experiment)
+from .hybrid import StatisticEngine
 from .inference import SIDE_ONE, SIDE_TWO, StatConfig
 from .resampler import generate_w
 
@@ -29,7 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dgp.add_argument("--n", type=int, required=True)
     p_dgp.add_argument("--p", type=int, required=True)
     p_dgp.add_argument("--seed", type=int, required=True)
-    p_dgp.add_argument("--burn-in", type=int, default=200)
     p_dgp.add_argument("--out", type=Path, required=True)
 
     p_ci = sub.add_parser("ci", help="confidence bounds for selected coefficients")
@@ -70,8 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dgp(args: argparse.Namespace) -> int:
-    cfg = DgpConfig(setting=args.setting, n=args.n, p=args.p, seed=args.seed,
-                    burn_in=args.burn_in)
+    cfg = DgpConfig(setting=args.setting, n=args.n, p=args.p, seed=args.seed)
     ds = generate(cfg, make_beta(args.p))
     sidecar = save_dataset(ds, args.out)
     print(f"wrote {args.out} and {sidecar}")
@@ -93,12 +92,11 @@ def _default_alpha(args: argparse.Namespace) -> float:
 
 def _cmd_ci(args: argparse.Namespace) -> int:
     args.alpha = _default_alpha(args)
-    if args.method == "ps" and args.side == SIDE_TWO:
-        print("ci: the ps method provides one-sided bounds only", file=sys.stderr)
-        return 2
-    if args.method == "hr" and args.B < MIN_RESAMPLES:
-        print(f"ci: the hr method needs --B >= {MIN_RESAMPLES}, got {args.B}",
-              file=sys.stderr)
+    try:
+        check_options((args.method,), args.side, args.alpha, args.B, args.kmax,
+                      args.q, args.sigma)
+    except ValueError as exc:
+        print(f"ci: {exc}", file=sys.stderr)
         return 2
     ds = load_dataset(args.input)
     try:
@@ -158,7 +156,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     reports = run_experiment(cfg)
     for rep in reports:
         print(f"{rep.setting} (n={rep.n}, p={rep.p}): reps={rep.reps} "
-              f"amse={rep.amse:.4f} overall CR="
+              f"failed={rep.failed} amse={rep.amse:.4f} overall CR="
               + ", ".join(f"{m}={rep.overall_cr[m]:.3f}" for m in rep.methods
                           if not math.isnan(rep.overall_cr[m])))
     return 0

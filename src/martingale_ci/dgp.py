@@ -32,7 +32,8 @@ GARCH_STATIONARY_VAR = GARCH_OMEGA / (1.0 - GARCH_ALPHA - GARCH_BETA)
 
 FACTOR_AR_COEF = 0.9
 MVN_OFF_DIAGONAL = 0.2
-DEFAULT_BURN_IN = 200
+# Rows simulated and discarded before the kept sample in GARCH and AR.
+BURN_IN = 200
 
 
 class InvalidConfigError(ValueError):
@@ -63,7 +64,6 @@ class DgpConfig:
     n: int
     p: int
     seed: int
-    burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self) -> None:
         if self.setting not in SETTINGS:
@@ -76,8 +76,6 @@ class DgpConfig:
             raise InvalidConfigError("AR setting needs p >= 2 (column 1 is the lag)")
         if self.n < 4:
             raise InvalidConfigError("n must be >= 4")
-        if self.burn_in < 0:
-            raise InvalidConfigError("burn_in must be nonnegative")
 
 
 @dataclass
@@ -173,7 +171,7 @@ def generate(cfg: DgpConfig, beta: CoefVector) -> Dataset:
             f"beta has length {beta.p} but config requests p={cfg.p}"
         )
     rng = np.random.default_rng(cfg.seed)
-    n, p, burn = cfg.n, cfg.p, cfg.burn_in
+    n, p, burn = cfg.n, cfg.p, BURN_IN
 
     if cfg.setting == "LAI":
         f = rng.standard_normal(n)
@@ -211,7 +209,7 @@ def generate(cfg: DgpConfig, beta: CoefVector) -> Dataset:
             prev = beta.values[0] * prev + drive[t]
             y[t] = prev
         X = np.empty((n, p))
-        X[:, 0] = y[burn - 1 : total - 1] if burn > 0 else np.concatenate(([0.0], y[:-1]))
+        X[:, 0] = y[burn - 1 : total - 1]
         X[:, 1:] = x_rest[burn:]
         eps = eps_full[burn:]
         Y = y[burn:]

@@ -39,6 +39,31 @@ RECORD_COLUMNS = ("kind", "rep", "j", "beta_true", "method", "lb", "ub", "m",
                   "amse", "flags")
 
 
+def check_options(methods: tuple[str, ...], side: str, alpha: float, B: int,
+                  kmax: int, q: int, ps_sigma: float | None = None) -> None:
+    """Raise ``ValueError`` naming the first option the methods cannot run with.
+
+    The rules ``ci`` and ``simulate`` share, in the command-line flags'
+    names; ``ps_sigma`` is a given noise scale for ``ps`` (None when it is
+    estimated or fixed per setting).
+    """
+    bad = set(methods) - set(METHODS)
+    if bad:
+        raise ValueError(f"unknown methods: {sorted(bad)}")
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"--alpha must be in (0, 0.5), got {alpha}")
+    if kmax < 1:
+        raise ValueError(f"--kmax must be >= 1, got {kmax}")
+    if q < 0:
+        raise ValueError(f"--q must be >= 0, got {q}")
+    if side != SIDE_ONE and "ps" in methods:
+        raise ValueError("the ps method provides one-sided bounds only")
+    if "hr" in methods and B < MIN_RESAMPLES:
+        raise ValueError(f"the hr method needs --B >= {MIN_RESAMPLES}, got {B}")
+    if ps_sigma is not None and not ps_sigma > 0.0:
+        raise ValueError(f"--sigma must be positive, got {ps_sigma}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation experiment: a setting crossed with problem sizes."""
@@ -59,15 +84,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError("alpha must be in (0, 0.5)")
-        bad = set(self.methods) - set(METHODS)
-        if bad:
-            raise ValueError(f"unknown methods: {sorted(bad)}")
-        if self.side != SIDE_ONE and "ps" in self.methods:
-            raise ValueError("the ps method provides one-sided bounds only")
-        if "hr" in self.methods and self.B < MIN_RESAMPLES:
-            raise ValueError(f"the hr method needs B >= {MIN_RESAMPLES}, got {self.B}")
+        check_options(self.methods, self.side, self.alpha, self.B, self.kmax,
+                      self.q)
 
 
 @dataclass
@@ -87,6 +105,7 @@ class MetricsReport:
     amse: float
     degenerate: int = 0
     failures: dict[str, int] = field(default_factory=dict)
+    failed: int = 0  # replications flagged failed:<Exception>, in reps too
 
 
 def derive_dataset_seed(master: int, rep: int) -> int:
@@ -116,8 +135,7 @@ def interval(method: str, j: int, ds: Dataset, engine: StatisticEngine,
             raise ValueError(f"unknown method {method!r}")
         else:
             bound = hybrid_ci_one_sided if side == SIDE_ONE else hybrid_ci_two_sided
-            rep = bound(ds.X, ds.Y, j, rs, alpha, stat_cfg=engine.cfg,
-                        engine=engine, fit=fit)
+            rep = bound(engine, fit, j, rs, alpha)
     except (InfeasibleTruncationError, np.linalg.LinAlgError) as exc:
         return math.nan, math.inf, f"failed:{type(exc).__name__}"
     flags = "ok"
@@ -341,10 +359,12 @@ def aggregate(records: list[dict], setting: str, n: int, p: int,
     amse_vals = [float(r["amse"]) for r in rep_rows if r["amse"] != ""]
     amse = float(np.mean(amse_vals)) if amse_vals else math.nan
     degenerate = sum(1 for r in rep_rows if r["flags"] == "degenerate")
+    failed = sum(1 for r in rep_rows if r["flags"].startswith("failed"))
     return MetricsReport(setting=setting, n=n, p=p, reps=len(rep_rows),
                          methods=tuple(methods), ns=ns, cr=cr, mlb=mlb,
                          slb=slb, overall_cr=overall, amse=amse,
-                         degenerate=degenerate, failures=failures)
+                         degenerate=degenerate, failures=failures,
+                         failed=failed)
 
 
 def _fmt(x: float) -> str:
@@ -366,6 +386,19 @@ def coverage_table_rows(report: MetricsReport) -> list[list[str]]:
     return rows
 
 
+def _write_table(rows: list[list], stem: Path) -> list[Path]:
+    """Write ``rows`` (header first) as ``<stem>.csv`` and ``<stem>.md``."""
+    csv_path, md_path = stem.with_suffix(".csv"), stem.with_suffix(".md")
+    with csv_path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with md_path.open("w") as fh:
+        fh.write("| " + " | ".join(map(str, rows[0])) + " |\n")
+        fh.write("|" + "---|" * len(rows[0]) + "\n")
+        for row in rows[1:]:
+            fh.write("| " + " | ".join(map(str, row)) + " |\n")
+    return [csv_path, md_path]
+
+
 def emit_tables(reports: list[MetricsReport], out_dir: Path) -> list[Path]:
     """Write per-cell coverage tables and one estimation-error table.
 
@@ -376,38 +409,14 @@ def emit_tables(reports: list[MetricsReport], out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     reports = sorted(reports, key=lambda r: (r.setting, r.n, r.p))
-
     for rep in reports:
-        stem = f"coverage_{rep.setting}_n{rep.n}_p{rep.p}"
-        rows = coverage_table_rows(rep)
-        csv_path = out_dir / f"{stem}.csv"
-        with csv_path.open("w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        md_path = out_dir / f"{stem}.md"
-        with md_path.open("w") as fh:
-            fh.write("| " + " | ".join(rows[0]) + " |\n")
-            fh.write("|" + "---|" * len(rows[0]) + "\n")
-            for row in rows[1:]:
-                fh.write("| " + " | ".join(row) + " |\n")
-        written.extend([csv_path, md_path])
-
+        written += _write_table(coverage_table_rows(rep),
+                                out_dir / f"coverage_{rep.setting}_n{rep.n}_p{rep.p}")
     if reports:
-        setting = reports[0].setting
-        amse_csv = out_dir / f"amse_{setting}.csv"
-        with amse_csv.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["setting", "n", "p", "reps", "amse"])
-            for rep in reports:
-                writer.writerow([rep.setting, rep.n, rep.p, rep.reps,
-                                 _fmt(rep.amse)])
-        amse_md = out_dir / f"amse_{setting}.md"
-        with amse_md.open("w") as fh:
-            fh.write("| setting | n | p | reps | amse |\n")
-            fh.write("|---|---|---|---|---|\n")
-            for rep in reports:
-                fh.write(f"| {rep.setting} | {rep.n} | {rep.p} | {rep.reps} "
-                         f"| {_fmt(rep.amse)} |\n")
-        written.extend([amse_csv, amse_md])
+        rows = [["setting", "n", "p", "reps", "failed", "amse"]]
+        rows += [[rep.setting, rep.n, rep.p, rep.reps, rep.failed, _fmt(rep.amse)]
+                 for rep in reports]
+        written += _write_table(rows, out_dir / f"amse_{reports[0].setting}")
     return written
 
 

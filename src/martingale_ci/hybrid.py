@@ -10,7 +10,6 @@ inverts that comparison by bisection; the two-sided bound scans a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -33,26 +32,21 @@ from .resampler import ResampleSet
 
 MIN_RESAMPLES = 20
 MIN_CONDITIONED = 10
-
-
-@dataclass(frozen=True)
-class BisectConfig:
-    """Controls for the one-sided bound search (all steps in sigma units)."""
-
-    delta_scale: float = 1e-3
-    max_iterations: int = 60
-    r1_offset: float = 2.0
-    r1_step: float = 0.5
-    r1_max_steps: int = 40
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Controls for the two-sided grid scan."""
-
-    n_points: int = 81
-    half_width_sigmas: float = 4.0
-    min_conditioned: int = MIN_CONDITIONED
+# One-sided search, every step in units of the observed standard error:
+# the start walks up by START_BUMP at most START_MAX_BUMPS times, the
+# rejected end starts R1_OFFSET below it and walks down by R1_STEP at most
+# R1_MAX_STEPS times, and bisection stops at BISECT_WIDTH wide or after
+# BISECT_MAX_ITERATIONS halvings.
+START_BUMP = 0.5
+START_MAX_BUMPS = 10
+R1_OFFSET = 2.0
+R1_STEP = 0.5
+R1_MAX_STEPS = 40
+BISECT_WIDTH = 1e-3
+BISECT_MAX_ITERATIONS = 60
+# Two-sided scan: GRID_POINTS points over +-GRID_HALF_WIDTH standard errors.
+GRID_POINTS = 81
+GRID_HALF_WIDTH = 4.0
 
 
 class StatisticEngine:
@@ -69,7 +63,7 @@ class StatisticEngine:
         self.cfg = cfg
         self.n, self.p = self.X.shape
         self.col_norms = np.linalg.norm(self.X, axis=0)
-        self.kn = cfg.kn if cfg.kn is not None else default_iterations(self.n, self.p)
+        self.kn = default_iterations(self.n, self.p)
         self.factors = estimate_factors(self.X, min(cfg.kmax, self.n, self.p))
         self.x_tilde = complement_projection(self.factors.F_hat, self.X)
         self.gram_cols: dict[int, np.ndarray] = {}
@@ -181,82 +175,70 @@ def _synthetic_batch(
     return base[:, None] + rs.w_b.T + shift * X[:, j][:, None]
 
 
-def _observed(
-    X: np.ndarray, Y: np.ndarray, j: int, rs: ResampleSet, side: str,
-    stat_cfg: StatConfig | None, engine: StatisticEngine | None,
-    fit: PipelineFit | None,
-) -> tuple[StatisticEngine, float, float]:
-    """Engine, observed estimate and standard error for a bound on column j."""
+def _observed(engine: StatisticEngine, fit: PipelineFit, j: int,
+              rs: ResampleSet, side: str) -> tuple[float, float]:
+    """Observed estimate and standard error for a bound on column j."""
     if j not in set(int(v) for v in rs.j_hat):
         raise ValueError(f"column {j} is not in the selected set")
     if rs.w_b.shape[0] < MIN_RESAMPLES:
         raise ValueError(f"need at least {MIN_RESAMPLES} resamples")
-    stat_cfg = stat_cfg or StatConfig(side=side)
-    if stat_cfg.side != side:
+    if engine.cfg.side != side:
         raise ValueError(f"a {side}-sided interval needs a {side}-sided statistic")
-    if engine is None:
-        engine = StatisticEngine(X, stat_cfg)
-    fit = engine.fit(Y) if fit is None else fit
     pos = fit.position(j)
     if pos is None:
         raise ValueError(f"column {j} not selected on the observed response")
-    return engine, float(fit.estimate.beta_tilde[pos]), float(fit.sigma[pos])
+    return float(fit.estimate.beta_tilde[pos]), float(fit.sigma[pos])
 
 
-def _conditioned(engine: StatisticEngine, X: np.ndarray, rs: ResampleSet,
-                 j: int, theta: float, diag: dict) -> np.ndarray:
+def _conditioned(engine: StatisticEngine, rs: ResampleSet, j: int,
+                 theta: float, diag: dict) -> np.ndarray:
     """Resampled statistics at theta that enter the quantile.
 
     Those are the resamples that selected column j and did not fail;
     ``diag`` counts the evaluation and its failures.
     """
     stats, selected, failures = engine.statistics_batch(
-        _synthetic_batch(X, rs, j, theta), j, theta
+        _synthetic_batch(engine.X, rs, j, theta), j, theta
     )
     diag["evaluations"] += 1
     diag["failures"] += failures
     return stats[selected & np.isfinite(stats)]
 
 
-def invert_lower_bound(
-    observed_stat,
-    u_upper,
-    start: float,
-    sigma: float,
-    cfg: BisectConfig = BisectConfig(),
-) -> tuple[float, dict]:
+def invert_lower_bound(observed_stat, u_upper, start: float,
+                       sigma: float) -> tuple[float, dict]:
     """Bisection for the boundary where the observed statistic meets u_upper.
 
     ``observed_stat(theta)`` must be increasing as theta decreases and
     ``u_upper(theta)`` bounded for the crossing to be unique. Walks down
     from ``start`` in sigma-scaled steps until the observed statistic
     exceeds the quantile, then bisects the bracket to width
-    sigma * delta_scale (or the iteration cap, flagged non-converged).
+    sigma * BISECT_WIDTH (or the iteration cap, flagged non-converged).
     """
     diag: dict = {}
     a = start
     bumps = 0
-    while (below := u_upper(a) <= observed_stat(a)) and bumps < 10:
-        a += 0.5 * sigma
+    while (below := u_upper(a) <= observed_stat(a)) and bumps < START_MAX_BUMPS:
+        a += START_BUMP * sigma
         bumps += 1
     diag["start_bumps"] = bumps
-    diag["start_capped"] = below  # still below the quantile after 10 bumps
+    diag["start_capped"] = below  # still below the quantile after every bump
 
-    r = a - cfg.r1_offset * sigma
+    r = a - R1_OFFSET * sigma
     found = False
-    for _ in range(cfg.r1_max_steps):
+    for _ in range(R1_MAX_STEPS):
         if u_upper(r) < observed_stat(r):
             found = True
             break
-        r -= cfg.r1_step * sigma
+        r -= R1_STEP * sigma
     if not found:
         diag["converged"] = False
         diag["bisection_iterations"] = 0
         return float(0.5 * (a + r)), diag
 
-    delta = cfg.delta_scale * sigma
+    delta = BISECT_WIDTH * sigma
     iterations = 0
-    while (a - r) >= delta and iterations < cfg.max_iterations:
+    while (a - r) >= delta and iterations < BISECT_MAX_ITERATIONS:
         mid = 0.5 * (a + r)
         if u_upper(mid) > observed_stat(mid):
             a = mid
@@ -269,24 +251,16 @@ def invert_lower_bound(
     return float(0.5 * (a + r)), diag
 
 
-def hybrid_ci_one_sided(
-    X: np.ndarray,
-    Y: np.ndarray,
-    j: int,
-    rs: ResampleSet,
-    alpha: float,
-    stat_cfg: StatConfig | None = None,
-    bisect_cfg: BisectConfig = BisectConfig(),
-    engine: StatisticEngine | None = None,
-    fit: PipelineFit | None = None,
-) -> IntervalReport:
+def hybrid_ci_one_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
+                        rs: ResampleSet, alpha: float) -> IntervalReport:
     """Lower confidence bound by bisecting the test-inversion boundary.
 
-    Walks down from the point estimate until the observed statistic exceeds
-    the resampled (1-alpha)-quantile, then bisects the bracketing interval
-    to within delta = sigma * delta_scale. ``fit`` is ``engine.fit(Y)``.
+    ``engine`` must hold a one-sided statistic and ``fit`` be its fit of
+    the observed response. Walks down from the point estimate until the
+    observed statistic exceeds the resampled (1-alpha)-quantile, then
+    bisects the bracketing interval to within sigma * BISECT_WIDTH.
     """
-    engine, beta_obs, sigma = _observed(X, Y, j, rs, SIDE_ONE, stat_cfg, engine, fit)
+    beta_obs, sigma = _observed(engine, fit, j, rs, SIDE_ONE)
     level = 1.0 - alpha
     diag = {"evaluations": 0, "empty_conditioning": 0,
             "min_conditioned": np.inf, "failures": 0}
@@ -295,7 +269,7 @@ def hybrid_ci_one_sided(
         return (beta_obs - theta) / sigma
 
     def u_upper(theta: float) -> float:
-        cond = _conditioned(engine, X, rs, j, theta, diag)
+        cond = _conditioned(engine, rs, j, theta, diag)
         diag["min_conditioned"] = min(diag["min_conditioned"], len(cond))
         if len(cond) == 0:
             # No resample selected the column at this theta: there is no
@@ -304,39 +278,31 @@ def hybrid_ci_one_sided(
             return np.inf
         return _order_statistic(cond, level)
 
-    lower, bisect_diag = invert_lower_bound(observed_stat, u_upper, beta_obs,
-                                            sigma, bisect_cfg)
+    lower, bisect_diag = invert_lower_bound(observed_stat, u_upper, beta_obs, sigma)
     diag.update(bisect_diag)
     return IntervalReport(j=j, method="hr", lower=lower, upper=np.inf,
                           alpha=alpha, diagnostics=diag)
 
 
-def hybrid_ci_two_sided(
-    X: np.ndarray,
-    Y: np.ndarray,
-    j: int,
-    rs: ResampleSet,
-    alpha: float,
-    grid_cfg: GridConfig = GridConfig(),
-    stat_cfg: StatConfig | None = None,
-    engine: StatisticEngine | None = None,
-    fit: PipelineFit | None = None,
-) -> IntervalReport:
+def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
+                        rs: ResampleSet, alpha: float) -> IntervalReport:
     """Two-sided interval as the hull of the grid acceptance region.
 
-    A grid point is accepted when the observed |statistic| lies between the
-    alpha and (1-alpha) resample quantiles; the reported bounds are the
-    outermost accepted points, tightened by one midpoint refinement on
-    each side; ``clipped_low``/``clipped_high`` flag an accepted grid end.
+    ``engine`` must hold a two-sided statistic and ``fit`` be its fit of
+    the observed response. A grid point is accepted when the observed
+    |statistic| lies between the alpha and (1-alpha) resample quantiles;
+    the reported bounds are the outermost accepted points, tightened by one
+    midpoint refinement on each side; ``clipped_low``/``clipped_high`` flag
+    an accepted grid end.
     """
-    engine, beta_obs, sigma = _observed(X, Y, j, rs, SIDE_TWO, stat_cfg, engine, fit)
+    beta_obs, sigma = _observed(engine, fit, j, rs, SIDE_TWO)
     lo_fallback = float(norm.ppf(0.5 * (1.0 + alpha)))
     hi_fallback = float(norm.ppf(1.0 - 0.5 * alpha))
     diag = {"evaluations": 0, "fallbacks": 0, "failures": 0}
 
     def bounds_at(theta: float) -> tuple[float, float]:
-        cond = _conditioned(engine, X, rs, j, theta, diag)
-        if len(cond) < grid_cfg.min_conditioned:
+        cond = _conditioned(engine, rs, j, theta, diag)
+        if len(cond) < MIN_CONDITIONED:
             diag["fallbacks"] += 1
             return lo_fallback, hi_fallback
         return (_order_statistic(cond, alpha), _order_statistic(cond, 1.0 - alpha))
@@ -348,8 +314,8 @@ def hybrid_ci_two_sided(
         violation = max(u_lo - t_obs, t_obs - u_hi)
         return inside, violation
 
-    half = grid_cfg.half_width_sigmas * sigma
-    grid = np.linspace(beta_obs - half, beta_obs + half, grid_cfg.n_points)
+    half = GRID_HALF_WIDTH * sigma
+    grid = np.linspace(beta_obs - half, beta_obs + half, GRID_POINTS)
     results = [accepted(theta) for theta in grid]
     inside = np.array([r[0] for r in results])
     diag.update(clipped_low=bool(inside[0]), clipped_high=bool(inside[-1]))

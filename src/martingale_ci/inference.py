@@ -43,7 +43,6 @@ class StatConfig:
     kmax: int = 5
     q: int = 1
     side: str = SIDE_ONE
-    kn: int | None = None
 
     @property
     def sentinel(self) -> float:
@@ -187,33 +186,12 @@ def _log_phi_diff(lo: float, hi: float) -> float:
     return float(a + math.log1p(-math.exp(d)))
 
 
-def truncnorm_cdf(x: float, mu: float, sigma: float, a: float, b: float) -> float:
-    """CDF of a normal(mu, sigma^2) truncated to [a, b], tail-stable."""
-    if not a < b:
-        raise InvalidTruncationError(f"need a < b, got a={a}, b={b}")
-    if sigma <= 0.0:
-        raise InvalidTruncationError("sigma must be positive")
-    if x <= a:
-        return 0.0
-    if x >= b:
-        return 1.0
-    za = -np.inf if a == -np.inf else (a - mu) / sigma
-    zb = np.inf if b == np.inf else (b - mu) / sigma
-    zx = (x - mu) / sigma
-    num = _log_phi_diff(za, zx)
-    den = _log_phi_diff(za, zb)
-    if den == -np.inf:
-        # No mass in [a, b] at this mu: resolve by which side x sits on.
-        return 0.0 if zx <= 0.5 * (za + zb) else 1.0
-    if num == -np.inf:
-        return 0.0
-    return float(min(1.0, math.exp(num - den)))
-
-
 def truncnorm_sf(x: float, mu: float, sigma: float, a: float, b: float) -> float:
     """Survival function 1 - F of the truncated normal, tail-stable."""
     if not a < b:
         raise InvalidTruncationError(f"need a < b, got a={a}, b={b}")
+    if sigma <= 0.0:
+        raise InvalidTruncationError("sigma must be positive")
     if x <= a:
         return 1.0
     if x >= b:

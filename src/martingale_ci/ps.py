@@ -167,6 +167,8 @@ def ps_interval(
     inherits that estimator's omitted-variable bias; it is exact only when
     Y is Gaussian with known sigma and all signal is inside the selection.
     """
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     j_hat = sel.j_hat

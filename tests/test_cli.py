@@ -92,6 +92,23 @@ class TestCiCommand:
         assert "--B >= 20" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, option, message", [
+        ("ps", ["--sigma", "0"], "--sigma must be positive, got 0.0"),
+        ("ps", ["--sigma", "-1"], "--sigma must be positive, got -1.0"),
+        ("iv", ["--alpha", "0.7"], "--alpha must be in (0, 0.5), got 0.7"),
+        ("iv", ["--alpha", "0"], "--alpha must be in (0, 0.5), got 0.0"),
+        ("iv", ["--q", "-1"], "--q must be >= 0, got -1"),
+        ("iv", ["--kmax", "0"], "--kmax must be >= 1, got 0"),
+    ])
+    def test_invalid_option_rejected(self, dataset_csv, tmp_path, capsys,
+                                     method, option, message):
+        out = tmp_path / "ci.csv"
+        code = main(["ci", "--in", str(dataset_csv), "--method", method,
+                     *option, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"ci: {message}\n"
+        assert not out.exists()
+
     def test_singular_observed_fit_exits_2(self, ill_conditioned_design,
                                            tmp_path, capsys):
         X, Y = ill_conditioned_design
@@ -131,13 +148,14 @@ class TestCiCommand:
 
 
 class TestSimulateCommand:
-    def test_runs_and_writes_tables(self, tmp_path):
+    def test_runs_and_writes_tables(self, tmp_path, capsys):
         out = tmp_path / "sim"
         code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
                      "--reps", "2", "--B", "20", "--alpha", "0.2",
                      "--methods", "t,iv", "--seed", "4", "--workers", "1",
                      "--out", str(out)])
         assert code == 0
+        assert "reps=2 failed=0 amse=" in capsys.readouterr().out
         assert (out / "coverage_IID_n60_p30.csv").exists()
         assert (out / "amse_IID.csv").exists()
         assert (out / "records_IID_n60_p30.csv").exists()
@@ -162,6 +180,14 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("simulate: ") and err.count("\n") == 1
         assert "B >= 20" in err
+        assert not (tmp_path / "sim").exists()
+
+    def test_negative_lag_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
+                     "--reps", "1", "--methods", "t,iv", "--q", "-1",
+                     "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert capsys.readouterr().err == "simulate: --q must be >= 0, got -1\n"
         assert not (tmp_path / "sim").exists()
 
 

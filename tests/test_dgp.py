@@ -146,6 +146,7 @@ class TestDatasetIo:
         meta = json.loads(sidecar.read_text())
         assert meta["setting"] == "GARCH"
         assert meta["seed"] == 77
+        assert meta["burn_in"] == 200
         assert np.allclose(meta["beta"], ds.truth.values)
         loaded = load_dataset(path)
         assert np.array_equal(loaded.X, ds.X)

@@ -168,6 +168,21 @@ class TestAggregate:
         report = aggregate(synthetic_records(), "IID", 60, 30, ("t",))
         assert np.isclose(report.amse, 0.05)
 
+    def test_failed_replication_counted(self, tmp_path):
+        rows = synthetic_records()[:7]  # replication 0: six intervals, one rep row
+        rows.append({"kind": "rep", "rep": "1", "j": "", "beta_true": "",
+                     "method": "", "lb": "", "ub": "", "m": "", "amse": "",
+                     "flags": "failed:SingularGramError"})
+        report = aggregate(rows, "IID", 60, 30, ("t", "iv"))
+        assert (report.reps, report.failed) == (2, 1)
+        assert np.isclose(report.amse, 0.05)
+        emit_tables([report], tmp_path)
+        assert (tmp_path / "amse_IID.csv").read_text().splitlines() == [
+            "setting,n,p,reps,failed,amse", "IID,60,30,2,1,0.0500"]
+        assert (tmp_path / "amse_IID.md").read_text().splitlines() == [
+            "| setting | n | p | reps | failed | amse |", "|---|---|---|---|---|---|",
+            "| IID | 60 | 30 | 2 | 1 | 0.0500 |"]
+
 
 class TestEmitTables:
     def test_structure(self, tmp_path):

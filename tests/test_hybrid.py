@@ -4,8 +4,7 @@ from scipy.stats import norm
 
 from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.hybrid import (
-    BisectConfig,
-    GridConfig,
+    BISECT_WIDTH,
     StatisticEngine,
     _synthetic_batch,
     fit_pipeline,
@@ -120,28 +119,25 @@ class TestInvertLowerBound:
         start = 2.0
         observed = lambda theta: (start - theta) / sigma
         u_upper = lambda theta: 1.2
-        cfg = BisectConfig()
-        lower, diag = invert_lower_bound(observed, u_upper, start, sigma, cfg)
+        lower, diag = invert_lower_bound(observed, u_upper, start, sigma)
         assert diag["converged"]
         assert not diag["start_capped"]
         assert diag["bisection_iterations"] <= 40
-        assert abs(lower - (start - 1.2 * sigma)) < cfg.delta_scale * sigma
+        assert abs(lower - (start - 1.2 * sigma)) < BISECT_WIDTH * sigma
 
     def test_delta_tolerance_respected(self):
         sigma = 1.0
         observed = lambda theta: -theta
         u_upper = lambda theta: 2.7
-        cfg = BisectConfig()
-        lower, diag = invert_lower_bound(observed, u_upper, 0.0, sigma, cfg)
+        lower, diag = invert_lower_bound(observed, u_upper, 0.0, sigma)
         assert diag["converged"]
-        assert diag["bracket_width"] < cfg.delta_scale * sigma
+        assert diag["bracket_width"] < BISECT_WIDTH * sigma
 
     def test_nonconvergence_flagged(self):
         # A quantile that always dominates never produces a crossing.
         observed = lambda theta: -theta
         u_upper = lambda theta: abs(theta) + 100.0
-        lower, diag = invert_lower_bound(observed, u_upper, 0.0, 1.0,
-                                         BisectConfig(r1_max_steps=5))
+        lower, diag = invert_lower_bound(observed, u_upper, 0.0, 1.0)
         assert not diag["converged"]
 
     def test_start_cap_flagged(self):
@@ -155,7 +151,7 @@ class TestInvertLowerBound:
             return -np.inf
 
         lower, diag = invert_lower_bound(lambda theta: -theta, u_upper, 0.0,
-                                         1.0, BisectConfig())
+                                         1.0)
         assert diag["start_capped"]
         assert diag["start_bumps"] == 10
         assert calls[:12] == [0.5 * i for i in range(11)] + [3.0]
@@ -172,8 +168,7 @@ class TestHybridOneSided:
 
     def test_report_structure(self):
         j = int(self.fit.j_hat[0])
-        rep = hybrid_ci_one_sided(self.ds.X, self.ds.Y, j, self.rs, 0.2,
-                                  stat_cfg=self.cfg, engine=self.engine)
+        rep = hybrid_ci_one_sided(self.engine, self.fit, j, self.rs, 0.2)
         assert rep.method == "hr"
         assert rep.upper == np.inf
         assert rep.lower < self.fit.estimate.beta_tilde[0]
@@ -183,8 +178,7 @@ class TestHybridOneSided:
         j = int(self.fit.j_hat[0])
         lowers = []
         for alpha in (0.05, 0.1, 0.2):
-            rep = hybrid_ci_one_sided(self.ds.X, self.ds.Y, j, self.rs, alpha,
-                                      stat_cfg=self.cfg, engine=self.engine)
+            rep = hybrid_ci_one_sided(self.engine, self.fit, j, self.rs, alpha)
             lowers.append(rep.lower)
         assert lowers[0] <= lowers[1] + 1e-9
         assert lowers[1] <= lowers[2] + 1e-9
@@ -192,14 +186,14 @@ class TestHybridOneSided:
     def test_requires_membership_and_enough_resamples(self):
         missing = int(np.setdiff1d(np.arange(self.ds.p), self.rs.j_hat)[0])
         with pytest.raises(ValueError):
-            hybrid_ci_one_sided(self.ds.X, self.ds.Y, missing, self.rs, 0.2)
+            hybrid_ci_one_sided(self.engine, self.fit, missing, self.rs, 0.2)
         rs_small = ResampleSet(
             j_hat=self.rs.j_hat, beta_tilde=self.rs.beta_tilde,
             j_plus=self.rs.j_plus, w_tilde=self.rs.w_tilde,
             eps_hat=self.rs.eps_hat, w_b=self.rs.w_b[:5])
         with pytest.raises(ValueError):
-            hybrid_ci_one_sided(self.ds.X, self.ds.Y,
-                                int(self.rs.j_hat[0]), rs_small, 0.2)
+            hybrid_ci_one_sided(self.engine, self.fit, int(self.rs.j_hat[0]),
+                                rs_small, 0.2)
 
     def test_empty_conditioning_never_rejects(self, monkeypatch):
         j = int(self.fit.j_hat[0])
@@ -209,8 +203,7 @@ class TestHybridOneSided:
             return sentinel.copy(), np.zeros(len(sentinel), dtype=bool), 0
 
         monkeypatch.setattr(self.engine, "statistics_batch", starve)
-        rep = hybrid_ci_one_sided(self.ds.X, self.ds.Y, j, self.rs, 0.2,
-                                  stat_cfg=self.cfg, engine=self.engine)
+        rep = hybrid_ci_one_sided(self.engine, self.fit, j, self.rs, 0.2)
         # With no conditioned resamples anywhere, no theta is ever
         # rejected: the search exhausts its step budget and flags itself.
         assert rep.diagnostics["empty_conditioning"] == rep.diagnostics["evaluations"]
@@ -233,8 +226,7 @@ class TestHybridTwoSided:
             j_hat=sel.j_hat, beta_tilde=fit.estimate.beta_tilde.copy(),
             j_plus=sel.j_hat, w_tilde=w_tilde, eps_hat=w_tilde,
             w_b=np.tile(w_tilde, (25, 1)))
-        rep = hybrid_ci_two_sided(ds.X, ds.Y, j, rs, 0.1, stat_cfg=cfg,
-                                  engine=engine)
+        rep = hybrid_ci_two_sided(engine, fit, j, rs, 0.1)
         sigma = float(fit.sigma[0])
         beta_j = float(fit.estimate.beta_tilde[0])
         assert rep.diagnostics["empty_region"]
@@ -251,8 +243,7 @@ class TestHybridTwoSided:
         X = rng.standard_normal((n, p))
         beta = np.array([1.2, -0.9, 0.7, 0.0, 0.0, 0.0])
         Y = X @ beta + rng.standard_normal(n)
-        cfg = StatConfig(kmax=1, q=0, side=SIDE_TWO, kn=3)
-        engine = StatisticEngine(X, cfg)
+        engine = StatisticEngine(X, StatConfig(kmax=1, q=0, side=SIDE_TWO))
         fit = engine.fit(Y)
         j = int(fit.j_hat[0])
         pos = fit.position(j)
@@ -263,8 +254,7 @@ class TestHybridTwoSided:
             j_plus=fit.j_hat, w_tilde=w_tilde, eps_hat=w_tilde,
             w_b=rng.standard_normal((B, n)))
         alpha = 0.1
-        rep = hybrid_ci_two_sided(X, Y, j, rs, alpha, stat_cfg=cfg,
-                                  engine=engine)
+        rep = hybrid_ci_two_sided(engine, fit, j, rs, alpha)
         sigma = float(fit.sigma[pos])
         beta_j = float(fit.estimate.beta_tilde[pos])
         half = norm.ppf(1 - alpha / 2) * sigma
@@ -272,15 +262,16 @@ class TestHybridTwoSided:
         assert abs(rep.lower - lo_normal) < 0.1 * half
         assert abs(rep.upper - hi_normal) < 0.1 * half
 
-    def test_clipped_ends_flagged(self):
-        # Same oracle problem at B = 40; a grid of +-0.25 sigma lies inside
-        # the acceptance region, so both outermost points are accepted.
+    def test_clipped_ends_flagged(self, monkeypatch):
+        # Same oracle problem at B = 40, every evaluation conditioning on 40
+        # statistics, half 0 and half `top`. The observed |statistic| is 4
+        # at both grid ends: inside the quantiles (0, 100) there, outside
+        # (0, 2).
         rng = np.random.default_rng(7)
         n, p = 150, 6
         X = rng.standard_normal((n, p))
         Y = X @ np.array([1.2, -0.9, 0.7, 0.0, 0.0, 0.0]) + rng.standard_normal(n)
-        cfg = StatConfig(kmax=1, q=0, side=SIDE_TWO, kn=3)
-        engine = StatisticEngine(X, cfg)
+        engine = StatisticEngine(X, StatConfig(kmax=1, q=0, side=SIDE_TWO))
         fit = engine.fit(Y)
         j = int(fit.j_hat[0])
         w_tilde = Y - X[:, fit.j_hat] @ fit.estimate.beta_tilde
@@ -288,15 +279,29 @@ class TestHybridTwoSided:
             j_hat=fit.j_hat, beta_tilde=fit.estimate.beta_tilde.copy(),
             j_plus=fit.j_hat, w_tilde=w_tilde, eps_hat=w_tilde,
             w_b=rng.standard_normal((40, n)))
-        narrow = hybrid_ci_two_sided(X, Y, j, rs, 0.1,
-                                     GridConfig(n_points=5, half_width_sigmas=0.25),
-                                     stat_cfg=cfg, engine=engine, fit=fit)
-        assert narrow.diagnostics["clipped_low"]
-        assert narrow.diagnostics["clipped_high"]
-        wide = hybrid_ci_two_sided(X, Y, j, rs, 0.1, GridConfig(n_points=21),
-                                   stat_cfg=cfg, engine=engine, fit=fit)
-        assert not wide.diagnostics["clipped_low"]
-        assert not wide.diagnostics["clipped_high"]
+        for top, clipped in ((100.0, True), (2.0, False)):
+            stats = np.repeat([0.0, top], 20)
+
+            def fixed(Y_batch, jj, theta, stats=stats):
+                return stats.copy(), np.ones(len(stats), dtype=bool), 0
+
+            monkeypatch.setattr(engine, "statistics_batch", fixed)
+            rep = hybrid_ci_two_sided(engine, fit, j, rs, 0.1)
+            assert rep.diagnostics["clipped_low"] is clipped
+            assert rep.diagnostics["clipped_high"] is clipped
+            assert rep.diagnostics["fallbacks"] == 0
+
+    @pytest.mark.parametrize("engine_side", [SIDE_ONE, SIDE_TWO])
+    def test_engine_side_must_match_bound(self, engine_side):
+        # The side comes from the engine, so a bound handed the other
+        # side's engine refuses rather than mixing the two statistics.
+        ds, _ = small_problem(3, n=120, p=20, setting="IID")
+        engine = StatisticEngine(ds.X, StatConfig(side=engine_side))
+        fit = engine.fit(ds.Y)
+        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=30, seed=3)
+        other = hybrid_ci_two_sided if engine_side == SIDE_ONE else hybrid_ci_one_sided
+        with pytest.raises(ValueError, match="sided statistic"):
+            other(engine, fit, int(fit.j_hat[0]), rs, 0.1)
 
     def test_two_sided_tail_convention(self):
         # Nominal 80% two-sided coverage means alpha = 0.1 in each tail.

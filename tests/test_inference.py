@@ -14,7 +14,6 @@ from martingale_ci.inference import (
     covariance,
     iv_interval,
     t_interval,
-    truncnorm_cdf,
     truncnorm_sf,
 )
 from martingale_ci.iv_estimator import IvEstimate
@@ -133,50 +132,54 @@ class TestBaselineIntervals:
 
 
 class TestTruncnorm:
-    def test_untruncated_is_normal_cdf(self):
+    def test_untruncated_is_normal_sf(self):
         for x in (-2.0, -0.5, 0.0, 1.3):
-            assert np.isclose(truncnorm_cdf(x, 0, 1, -np.inf, np.inf),
-                              norm.cdf(x), atol=1e-12)
+            assert np.isclose(truncnorm_sf(x, 0, 1, -np.inf, np.inf),
+                              norm.sf(x), atol=1e-12)
 
     def test_boundary_values(self):
-        assert truncnorm_cdf(-1.0, 0, 1, -1, 2) == 0.0
-        assert truncnorm_cdf(2.0, 0, 1, -1, 2) == 1.0
+        assert truncnorm_sf(-1.0, 0, 1, -1, 2) == 1.0
+        assert truncnorm_sf(2.0, 0, 1, -1, 2) == 0.0
 
     def test_half_normal_hand_value(self):
-        # (Phi(1) - 0.5) / 0.5 with Phi(1) = 0.84134 -> 0.68269.
-        got = truncnorm_cdf(1.0, 0.0, 1.0, 0.0, np.inf)
-        assert abs(got - 0.68269) < 1e-5
+        # (1 - Phi(1)) / 0.5 with Phi(1) = 0.84134 -> 0.31731.
+        got = truncnorm_sf(1.0, 0.0, 1.0, 0.0, np.inf)
+        assert abs(got - 0.31731) < 1e-5
 
-    def test_nondecreasing_in_x(self):
+    def test_nonincreasing_in_x(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             mu = rng.normal()
             a = mu - abs(rng.normal()) - 0.5
             b = mu + abs(rng.normal()) + 0.5
             xs = np.sort(rng.uniform(a, b, size=15))
-            vals = [truncnorm_cdf(x, mu, 1.0, a, b) for x in xs]
-            assert np.all(np.diff(vals) >= -1e-12)
+            vals = [truncnorm_sf(x, mu, 1.0, a, b) for x in xs]
+            assert np.all(np.diff(vals) <= 1e-12)
 
-    def test_strictly_decreasing_in_mu(self):
+    def test_strictly_increasing_in_mu(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             a, b = -1.5, 2.5
             x = rng.uniform(a + 0.1, b - 0.1)
             mus = np.linspace(-3, 3, 9)
-            vals = [truncnorm_cdf(x, mu, 1.0, a, b) for mu in mus]
-            assert np.all(np.diff(vals) < 0)
+            vals = [truncnorm_sf(x, mu, 1.0, a, b) for mu in mus]
+            assert np.all(np.diff(vals) > 0)
 
     def test_extreme_tail_stability(self):
-        v = truncnorm_cdf(8.5, 0.0, 1.0, 8.0, 9.0)
-        assert 0.0 < v < 1.0
+        # Deep in the upper tail, against the ratio of normal tail
+        # probabilities (which norm.sf still resolves at 8 to 9).
         s = truncnorm_sf(8.5, 0.0, 1.0, 8.0, 9.0)
-        assert np.isclose(v + s, 1.0, atol=1e-9)
+        assert 0.0 < s < 1.0
+        assert np.isclose(s, (norm.sf(8.5) - norm.sf(9.0))
+                          / (norm.sf(8.0) - norm.sf(9.0)), rtol=1e-9)
         # Far-tail mean parameters keep returning finite probabilities.
         assert truncnorm_sf(1.0, -40.0, 1.0, 0.0, np.inf) >= 0.0
         assert truncnorm_sf(1.0, 40.0, 1.0, 0.0, np.inf) <= 1.0
 
     def test_invalid_truncation_rejected(self):
         with pytest.raises(InvalidTruncationError):
-            truncnorm_cdf(0.5, 0, 1, 2.0, 1.0)
+            truncnorm_sf(0.5, 0, 1, 2.0, 1.0)
         with pytest.raises(InvalidTruncationError):
-            truncnorm_cdf(0.5, 0, 1, 1.0, 1.0)
+            truncnorm_sf(0.5, 0, 1, 1.0, 1.0)
+        with pytest.raises(InvalidTruncationError):
+            truncnorm_sf(0.5, 0, 0.0, -1.0, 1.0)

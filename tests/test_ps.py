@@ -120,6 +120,14 @@ class TestPsInterval:
         with pytest.raises(ValueError):
             ps_interval(X, Y, sel, missing, 0.2, 1.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_nonpositive_sigma_rejected(self, sigma):
+        rng = np.random.default_rng(7)
+        X, Y = random_instance(rng)
+        sel = oga(X, Y, 3)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            ps_interval(X, Y, sel, int(sel.j_hat[0]), 0.2, sigma)
+
     def test_truncation_tightens_bound(self):
         # With competitors the truncated-normal bound differs from the
         # naive normal bound for at least some instances.
