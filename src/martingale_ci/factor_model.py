@@ -3,14 +3,17 @@
 The factor count is chosen by minimizing an information criterion over
 k = 1..k_max, and the factor matrix is rescaled so that F^T F / n equals the
 identity. With that normalization the least-squares loadings for a given k
-are Lambda = X^T F / n and the residual sum of squares V(k) is the tail sum
-of squared singular values of X, which is how it is computed here.
+are Lambda = X^T F / n and the residual sum of squares V(k) is ||X||_F^2
+minus the top k eigenvalues of the Gram matrix. Only the top k_max
+eigenpairs are needed, so they come from a truncated eigendecomposition of
+the smaller of X X^T and X^T X rather than a full SVD of X.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 
 class NumericInputError(ValueError):
@@ -48,6 +51,12 @@ def estimate_factors(X: np.ndarray, k_max: int) -> FactorEstimate:
 
         V(k)  = min_Lambda ||X - F^k Lambda^T||_F^2
         IC(k) = log V(k) + k ((n+p)/(np)) log(np/(n+p))
+
+    The top k_max eigenpairs (lambda_i, v_i) of G = X X^T (n <= p) or
+    G = X^T X (n > p) give V(k) = ||X||_F^2 - sum_{i<=k} lambda_i and the
+    left singular vectors v_i or X v_i / sqrt(lambda_i). Eigenvalues at or
+    below the Gram's roundoff level, min(n, p) eps lambda_1, count as zero,
+    as the squared singular values past an exact rank would.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -55,20 +64,25 @@ def estimate_factors(X: np.ndarray, k_max: int) -> FactorEstimate:
     n, p = X.shape
     if not np.all(np.isfinite(X)):
         raise NumericInputError("X contains non-finite entries")
-    if not 1 <= k_max <= min(n, p):
-        raise ValueError(f"k_max must be in [1, min(n, p)]={min(n, p)}, got {k_max}")
+    d = min(n, p)
+    if not 1 <= k_max <= d:
+        raise ValueError(f"k_max must be in [1, min(n, p)]={d}, got {k_max}")
 
+    G = X @ X.T if n <= p else X.T @ X
+    total = float(np.trace(G))
+    if total == 0.0:
+        raise NumericInputError("X is all zeros: it has no factors")
     try:
-        U, s, _ = np.linalg.svd(X, full_matrices=False)
+        lam, vecs = eigh(G, subset_by_index=[d - k_max, d - 1],
+                         overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise DecompositionError("SVD of the design matrix failed") from exc
+        raise DecompositionError("eigendecomposition of the Gram matrix failed") from exc
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    lam = np.where(lam > d * np.finfo(float).eps * lam[0], lam, 0.0)
 
-    sq = s**2
-    total = sq.sum()
-    # V(k) = sum of squared singular values beyond the first k.
-    v_values = total - np.cumsum(sq[:k_max])
-    # Guard tiny negative round-off from the subtraction.
-    v_values = np.maximum(v_values, 0.0)
+    # V(k) = ||X||_F^2 minus the top-k eigenvalues; guard tiny negative
+    # round-off from the subtraction.
+    v_values = np.maximum(total - np.cumsum(lam), 0.0)
 
     penalty = (n + p) / (n * p) * np.log(n * p / (n + p))
     ks = np.arange(1, k_max + 1)
@@ -76,7 +90,8 @@ def estimate_factors(X: np.ndarray, k_max: int) -> FactorEstimate:
         ic_values = np.log(v_values) + ks * penalty
 
     k_hat = int(np.argmin(ic_values)) + 1
-    F_hat = np.sqrt(n) * U[:, :k_hat]
+    U = vecs[:, :k_hat] if n <= p else X @ vecs[:, :k_hat] / np.sqrt(lam[:k_hat])
+    F_hat = np.sqrt(n) * U
     return FactorEstimate(k_hat=k_hat, F_hat=F_hat, ic_values=ic_values,
                           v_values=v_values)
 

@@ -10,6 +10,7 @@ problem sizes.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +26,8 @@ from .hybrid import (MIN_RESAMPLES, StatisticEngine, hybrid_ci_one_sided,
 from .inference import SIDE_ONE, PipelineFit, StatConfig, iv_interval, t_interval
 from .ps import InfeasibleTruncationError, ps_interval
 from .resampler import ResampleSet, combined_estimate, generate_w
+
+log = logging.getLogger(__name__)
 
 WORKERS_ENV_VAR = "MARTINGALE_CI_WORKERS"
 SIGNAL_GROUPS = (0.6, 0.4, 0.2, 0.1)
@@ -162,17 +165,18 @@ def run_replication(
     """One full replication: dataset, selection, estimates, all intervals.
 
     Failures of a single method for a single coefficient are recorded in
-    that row's flags; they never abort the replication. A ``LinAlgError``
-    in the observed fit or the resampling gives a replication with no
-    intervals, flagged ``failed:<Exception>``.
+    that row's flags; they never abort the replication. Any other exception
+    gives a replication with no intervals and no ``amse``, flagged
+    ``failed:<Exception>``; ``m`` is empty when the fit itself did not
+    finish. An invalid dataset configuration still raises.
     """
     beta = make_beta(p)
     cfg = DgpConfig(setting=setting, n=n, p=p,
                     seed=derive_dataset_seed(master_seed, rep))
-    ds = generate(cfg, beta)
 
     out = {"rep": rep, "m": "", "amse": math.nan, "flags": "ok", "intervals": []}
     try:
+        ds = generate(cfg, beta)
         engine = StatisticEngine(ds.X, StatConfig(kmax=kmax, q=q, side=side))
         fit = engine.fit(ds.Y)
         j_hat = fit.selection.j_hat
@@ -186,21 +190,23 @@ def run_replication(
               if "hr" in methods else None)
         beta_comb = (combined_estimate(ds, j_hat, kmax=kmax)[0] if rs is None
                      else rs.beta_tilde)
-    except np.linalg.LinAlgError as exc:
-        out["flags"] = f"failed:{type(exc).__name__}"
-        return out
-    err = beta_comb - beta.values[j_hat]
-    out["amse"] = float(np.sqrt(np.mean(err**2)))
-    if not np.any(beta_comb != 0.0):
-        out["flags"] = "degenerate"
+        err = beta_comb - beta.values[j_hat]
+        out["amse"] = float(np.sqrt(np.mean(err**2)))
+        if not np.any(beta_comb != 0.0):
+            out["flags"] = "degenerate"
 
-    for j in j_hat:
-        j = int(j)
-        for method in methods:
-            lb, ub, flags = interval(method, j, ds, engine, fit, alpha, rs,
-                                     PS_SIGMA[setting])
-            out["intervals"].append((j, float(beta.values[j]), method, lb, ub,
-                                     flags))
+        for j in j_hat:
+            j = int(j)
+            for method in methods:
+                lb, ub, flags = interval(method, j, ds, engine, fit, alpha, rs,
+                                         PS_SIGMA[setting])
+                out["intervals"].append((j, float(beta.values[j]), method, lb,
+                                         ub, flags))
+    except Exception as exc:
+        # One replication is the unit of failure: the cell keeps running.
+        log.exception("%s n=%d p=%d replication %d failed", setting, n, p, rep)
+        out.update(amse=math.nan, flags=f"failed:{type(exc).__name__}",
+                   intervals=[])
     return out
 
 
@@ -269,10 +275,13 @@ def _pin_blas_threads() -> None:
 def ensure_records(cfg: ExperimentConfig, n: int, p: int, path: Path) -> list[dict]:
     """Compute any replications missing from the record store at ``path``.
 
-    Returns the rows of replications ``0 .. cfg.reps - 1`` only. A store
-    shared with a larger experiment keeps its higher replications on disk,
-    but they are not handed on, so the aggregate covers exactly the
-    replications this configuration asks for.
+    Each replication's rows are appended as soon as it finishes, in index
+    order, so an interrupted run keeps every replication it completed and
+    a rerun computes only the rest. Returns the rows of replications
+    ``0 .. cfg.reps - 1`` as the store holds them. A store shared with a
+    larger experiment keeps its higher replications on disk, but they are
+    not handed on, so the aggregate covers exactly the replications this
+    configuration asks for.
     """
     existing = load_records(path)
     done = completed_reps(existing)
@@ -283,19 +292,13 @@ def ensure_records(cfg: ExperimentConfig, n: int, p: int, path: Path) -> list[di
                     for r in missing]
         workers = _worker_count(cfg)
         _pin_blas_threads()
-        results: dict[int, dict] = {}
+        write_header = not existing
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=get_context("spawn")) as pool:
             for res in pool.map(_run_task, payloads):
-                results[res["rep"]] = res
-
-        new_rows: list[dict] = []
-        for r in sorted(results):
-            new_rows.extend(_records_from_result(results[r]))
-        # The header depends on what the file holds, not on which of its
-        # rows this configuration reads back.
-        _append_records(path, new_rows, write_header=not existing)
-        existing = existing + new_rows
+                _append_records(path, _records_from_result(res), write_header)
+                write_header = False
+        existing = load_records(path)
     return [row for row in existing if int(row["rep"]) < cfg.reps]
 
 

@@ -113,6 +113,50 @@ class TestEstimateFactors:
         assert meds[1] < meds[0]
 
 
+def svd_factors(X, k_max):
+    """The full-SVD estimate: ``(k_hat, F_hat, v_values)`` by definition."""
+    n, p = X.shape
+    U, sv, _ = np.linalg.svd(X, full_matrices=False)
+    v_values = np.maximum(np.sum(sv**2) - np.cumsum(sv[:k_max] ** 2), 0.0)
+    penalty = (n + p) / (n * p) * np.log(n * p / (n + p))
+    with np.errstate(divide="ignore"):
+        ic_values = np.log(v_values) + np.arange(1, k_max + 1) * penalty
+    k_hat = int(np.argmin(ic_values)) + 1
+    return k_hat, np.sqrt(n) * U[:, :k_hat], v_values
+
+
+def projector(F):
+    return np.eye(F.shape[0]) - F @ np.linalg.solve(F.T @ F, F.T)
+
+
+class TestAgainstSvd:
+    # (n, p, k_max): n < p, n > p and n = p, each with k_max = 5 and with
+    # k_max = min(n, p).
+    SHAPES = [(30, 50, 5), (50, 30, 5), (40, 40, 5),
+              (9, 12, 9), (12, 9, 9), (10, 10, 10)]
+
+    @pytest.mark.parametrize("n,p,k_max", SHAPES)
+    @pytest.mark.parametrize("rank,noise", [(2, 0.5), (3, 0.0)],
+                             ids=["noisy", "exact_rank3"])
+    def test_matches_svd(self, n, p, k_max, rank, noise):
+        for seed in range(5):
+            X, _ = factor_data(np.random.default_rng(seed), n, p, rank, noise)
+            k_svd, F_svd, v_svd = svd_factors(X, k_max)
+            fe = estimate_factors(X, k_max)
+            assert fe.k_hat == k_svd
+            # V(k) is ||X||_F^2 minus k eigenvalues, so either way it is
+            # known only to about min(n, p) eps ||X||_F^2.
+            roundoff = 10 * min(n, p) * np.finfo(float).eps * np.sum(X**2)
+            np.testing.assert_allclose(fe.v_values, v_svd, rtol=1e-10,
+                                       atol=roundoff)
+            assert np.max(np.abs(projector(fe.F_hat) - projector(F_svd))) < 1e-10
+
+    def test_zero_design_rejected(self):
+        for shape in ((5, 8), (8, 5)):
+            with pytest.raises(NumericInputError):
+                estimate_factors(np.zeros(shape), 2)
+
+
 class TestComplementProjection:
     def setup_method(self):
         rng = np.random.default_rng(7)

@@ -4,6 +4,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from martingale_ci import harness
 from martingale_ci.dgp import Dataset
@@ -15,6 +16,7 @@ from martingale_ci.harness import (
     RECORD_COLUMNS,
     SIGNAL_GROUPS,
     aggregate,
+    completed_reps,
     derive_dataset_seed,
     emit_tables,
     load_records,
@@ -118,6 +120,22 @@ class TestRunReplication:
                               "one")
         assert res["flags"] == "failed:LinAlgError"
         assert res["m"] >= 1 and res["intervals"] == []
+
+    def test_any_exception_becomes_a_flag(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a numerical failure")
+
+        monkeypatch.setattr(harness, "generate_w", broken)
+        res = run_replication("IID", 60, 30, 7, 1, 20, 0.2, 3, 1, ("t", "hr"),
+                              "one")
+        assert res["flags"] == "failed:ValueError"
+        assert res["m"] >= 1 and res["intervals"] == []
+        assert math.isnan(res["amse"])
+        rows = load_records(_store(tmp_path, res))
+        assert [(r["kind"], r["flags"]) for r in rows] == \
+            [("rep", "failed:ValueError")]
+        report = aggregate(rows, "IID", 60, 30, ("t", "hr"))
+        assert (report.reps, report.failed) == (1, 1)
 
     def test_seed_derivation_differs_by_rep(self):
         assert derive_dataset_seed(3, 0) != derive_dataset_seed(3, 1)
@@ -291,6 +309,67 @@ class TestWorkerConfig:
         cfg = tiny_config(tmp_path / "env", reps=2)  # cfg asks for workers=1
         run_experiment(cfg)
         assert seen["max_workers"] == 2
+
+    def test_interrupted_run_keeps_finished_replications(self, tmp_path,
+                                                         monkeypatch):
+        real = harness.ProcessPoolExecutor
+        computed = []
+
+        class InterruptedPool(real):
+            def map(self, fn, payloads):
+                results = super().map(fn, payloads)
+                yield next(results)
+                yield next(results)
+                raise KeyboardInterrupt
+
+        class CountingPool(real):
+            def map(self, fn, payloads):
+                computed.extend(payload[4] for payload in payloads)
+                return super().map(fn, payloads)
+
+        full, part = tmp_path / "full", tmp_path / "part"
+        run_experiment(tiny_config(full, reps=3))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InterruptedPool)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_config(part, reps=3))
+        store = part / "records_IID_n60_p30.csv"
+        assert completed_reps(load_records(store)) == {0, 1}
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        run_experiment(tiny_config(part, reps=3))
+        assert computed == [2]
+        for name in ("records_IID_n60_p30.csv", "coverage_IID_n60_p30.csv",
+                     "amse_IID.csv"):
+            assert (part / name).read_bytes() == (full / name).read_bytes()
+
+    def test_failed_replication_left_out_of_first_run_amse(self, tmp_path,
+                                                           monkeypatch):
+        real_w = harness.generate_w
+
+        class InProcessPool:
+            def __init__(self, max_workers=None, mp_context=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        def broken_for_rep_1(ds, j_hat, F_hat, B, seed, **kw):
+            if seed.entropy[1] == 1:  # SeedSequence([master, rep, 1])
+                raise ValueError("not a numerical failure")
+            return real_w(ds, j_hat, F_hat, B, seed, **kw)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "generate_w", broken_for_rep_1)
+        report = run_experiment(tiny_config(tmp_path, reps=2))[0]
+        ok = run_replication("IID", 60, 30, 11, 0, 20, 0.2, 3, 1,
+                             ("t", "iv", "ps", "hr"), "one")
+        assert (report.reps, report.failed) == (2, 1)
+        assert report.amse == ok["amse"]
 
     def test_records_parse_back_to_identical_floats(self, tmp_path):
         out = tmp_path / "exact"
