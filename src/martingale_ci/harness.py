@@ -304,7 +304,11 @@ def ensure_records(cfg: ExperimentConfig, n: int, p: int, path: Path) -> list[di
 
 def aggregate(records: list[dict], setting: str, n: int, p: int,
               methods: tuple[str, ...]) -> MetricsReport:
-    """Coverage, bound moments, selection counts, and estimation error."""
+    """Coverage, bound moments, selection counts, and estimation error.
+
+    An interval covers when lb <= beta <= ub (one-sided rows have ub inf);
+    ``amse`` averages the finite per-replication values.
+    """
     if not records:
         raise ValueError("no records to aggregate")
     interval_rows = [r for r in records if r["kind"] == "interval"]
@@ -328,10 +332,10 @@ def aggregate(records: list[dict], setting: str, n: int, p: int,
         if group is None:
             continue
         group_pairs[group].add((rep, j))
-        if row["flags"].startswith("failed") or row["lb"] == "":
+        if row["flags"].startswith("failed") or "" in (row["lb"], row["ub"]):
             failures[method] += 1
             continue
-        by_method_group[method][group].append((float(row["lb"]), bt))
+        by_method_group[method][group].append((float(row["lb"]), float(row["ub"])))
 
     ns = {g: len(group_pairs[g]) / GROUP_SIZES[g] for g in SIGNAL_GROUPS}
     cr: dict[str, dict[float, float]] = {}
@@ -350,7 +354,8 @@ def aggregate(records: list[dict], setting: str, n: int, p: int,
                 slb[m][g] = math.nan
                 continue
             lbs = np.array([v[0] for v in vals])
-            covered = int(np.sum(lbs <= g + 1e-12))
+            ubs = np.array([v[1] for v in vals])
+            covered = int(np.sum((lbs <= g + 1e-12) & (g - 1e-12 <= ubs)))
             cr[m][g] = covered / len(vals)
             with np.errstate(invalid="ignore"):
                 mlb[m][g] = float(np.mean(lbs))
@@ -359,7 +364,8 @@ def aggregate(records: list[dict], setting: str, n: int, p: int,
             count_total += len(vals)
         overall[m] = covered_total / count_total if count_total else math.nan
 
-    amse_vals = [float(r["amse"]) for r in rep_rows if r["amse"] != ""]
+    amse_vals = [float(r["amse"]) for r in rep_rows
+                 if r["amse"] != "" and math.isfinite(float(r["amse"]))]
     amse = float(np.mean(amse_vals)) if amse_vals else math.nan
     degenerate = sum(1 for r in rep_rows if r["flags"] == "degenerate")
     failed = sum(1 for r in rep_rows if r["flags"].startswith("failed"))

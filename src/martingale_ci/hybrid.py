@@ -5,7 +5,9 @@ combined estimate and the resampled disturbances, each synthetic response
 is pushed through the full statistic pipeline (selection included), and
 the observed statistic is compared with quantiles of the synthetic ones,
 conditioned on the target column having been selected. The one-sided bound
-inverts that comparison by bisection; the two-sided bound scans a grid.
+inverts that comparison by bisection; the two-sided bound scans a grid,
+reusing each resample's greedy path over the theta-interval on which it
+provably holds.
 """
 from __future__ import annotations
 
@@ -47,6 +49,9 @@ BISECT_MAX_ITERATIONS = 60
 # Two-sided scan: GRID_POINTS points over +-GRID_HALF_WIDTH standard errors.
 GRID_POINTS = 81
 GRID_HALF_WIDTH = 4.0
+# A greedy path is reused at theta only while theta stays REUSE_MARGIN
+# standard errors below the upper end of the interval on which it holds.
+REUSE_MARGIN = 1e-9
 
 
 class StatisticEngine:
@@ -96,7 +101,8 @@ class StatisticEngine:
         return PipelineFit(selection=sel, estimate=est, cov=cov, sigma=sigma)
 
     def statistics_batch(
-        self, Y_batch: np.ndarray, j: int, theta: float
+        self, Y_batch: np.ndarray, j: int, theta: float,
+        paths: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Statistic for each column of Y_batch, with a selection mask.
 
@@ -104,19 +110,21 @@ class StatisticEngine:
         the sentinel and ``selected`` False; resamples whose gram fails the
         guard or whose variance is not positive carry NaN (still marked
         selected) and count as failures. Resamples that select the same
-        set are estimated together, with one factorization.
+        set are estimated together, with one factorization. ``paths`` are
+        the greedy paths of Y_batch as ``oga_path_batch`` returns them, if
+        already known.
         """
-        sel, resid_norms, m_actual = oga_path_batch(
-            self.X, Y_batch, self.kn, self.col_norms, self.gram_cols
-        )
+        if paths is None:
+            paths = oga_path_batch(self.X, Y_batch, self.kn, self.col_norms,
+                                   self.gram_cols)
+        sel, resid_norms, m_actual = paths
         out = np.full(Y_batch.shape[1], self.cfg.sentinel)
         selected = np.zeros(Y_batch.shape[1], dtype=bool)
         groups: dict[tuple, list[int]] = {}
         m = hdbic(resid_norms, self.n, self.p)
-        for b in np.flatnonzero(m_actual):
-            J = sel[b, :m[b]]
-            if j in J:
-                groups.setdefault(tuple(J.tolist()), []).append(b)
+        picked_j = (sel == j) & (np.arange(sel.shape[1]) < m[:, None])
+        for b in np.flatnonzero(picked_j.any(axis=1)):
+            groups.setdefault(tuple(sel[b, :m[b]].tolist()), []).append(b)
 
         failures = 0
         for J, members in groups.items():
@@ -166,13 +174,18 @@ def _order_statistic(values: np.ndarray, level: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
-def _synthetic_batch(
-    X: np.ndarray, rs: ResampleSet, j: int, theta: float
-) -> np.ndarray:
+def _synthetic_batch(X: np.ndarray, rs: ResampleSet, j: int,
+                     theta: float | np.ndarray,
+                     members: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """Synthetic responses of the resamples ``members`` at theta.
+
+    ``theta`` is one value or one per member; each column is computed with
+    the same operations either way.
+    """
     pos = int(np.flatnonzero(rs.j_hat == j)[0])
     base = X[:, rs.j_hat] @ rs.beta_tilde
-    shift = theta - rs.beta_tilde[pos]
-    return base[:, None] + rs.w_b.T + shift * X[:, j][:, None]
+    shift = np.asarray(theta) - rs.beta_tilde[pos]
+    return base[:, None] + rs.w_b[members].T + shift * X[:, j][:, None]
 
 
 def _observed(engine: StatisticEngine, fit: PipelineFit, j: int,
@@ -191,14 +204,15 @@ def _observed(engine: StatisticEngine, fit: PipelineFit, j: int,
 
 
 def _conditioned(engine: StatisticEngine, rs: ResampleSet, j: int,
-                 theta: float, diag: dict) -> np.ndarray:
+                 theta: float, diag: dict, **paths) -> np.ndarray:
     """Resampled statistics at theta that enter the quantile.
 
     Those are the resamples that selected column j and did not fail;
-    ``diag`` counts the evaluation and its failures.
+    ``diag`` counts the evaluation and its failures. ``paths`` is handed
+    on to ``statistics_batch``.
     """
     stats, selected, failures = engine.statistics_batch(
-        _synthetic_batch(engine.X, rs, j, theta), j, theta
+        _synthetic_batch(engine.X, rs, j, theta), j, theta, **paths
     )
     diag["evaluations"] += 1
     diag["failures"] += failures
@@ -284,6 +298,74 @@ def hybrid_ci_one_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
                           alpha=alpha, diagnostics=diag)
 
 
+class _PathSweep:
+    """Greedy paths of the synthetic responses along increasing theta.
+
+    Resample b's response at theta is a_b + theta x_j, so a path computed
+    at an anchor theta_0 holds for theta - theta_0 in the interval
+    ``oga_path_batch`` reports along column j, with residual norms
+    sqrt(rss + 2 t C_d + t^2 D_d) at t = theta - theta_0. Each computed
+    path is a segment of ``seg``.
+    """
+
+    def __init__(self, engine: StatisticEngine, rs: ResampleSet, j: int,
+                 sigma: float):
+        self.engine, self.rs, self.j = engine, rs, j
+        self.margin = REUSE_MARGIN * sigma
+        self.seg: dict[str, np.ndarray] = {}
+
+    def _compute(self, members: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """Paths of resamples ``members`` at ``thetas``; their segment ids."""
+        e = self.engine
+        Y = _synthetic_batch(e.X, self.rs, self.j, thetas, members)
+        found: dict = {}
+        sel, _, m_actual = oga_path_batch(e.X, Y, e.kn, e.col_norms, e.gram_cols,
+                                          direction=self.j, intervals=found)
+        new = dict(theta=thetas, hi=found["hi"], sel=sel, m=m_actual,
+                   rss=found["rss"], c_d=found["c_d"], d_d=found["d_d"])
+        start = self.paths
+        self.seg = {key: np.concatenate([self.seg[key], value]) if self.seg else value
+                    for key, value in new.items()}
+        return start + np.arange(len(members))
+
+    @property
+    def paths(self) -> int:
+        """Resample paths computed so far."""
+        return len(self.seg.get("theta", ()))
+
+    def _covers(self, segs: np.ndarray, theta: float) -> np.ndarray:
+        t = theta - self.seg["theta"][segs]
+        return (t == 0.0) | (t >= 0.0) & (t < self.seg["hi"][segs] - self.margin)
+
+    def grid(self, thetas: np.ndarray) -> np.ndarray:
+        """Segment of each (grid point, resample), thetas increasing.
+
+        Each round computes, in one batch, every resample's path at its
+        first grid point not yet covered.
+        """
+        seg_of = np.empty((len(thetas), self.rs.w_b.shape[0]), dtype=int)
+        nxt = np.zeros(seg_of.shape[1], dtype=int)
+        while (members := np.flatnonzero(nxt < len(thetas))).size:
+            segs = self._compute(members, thetas[nxt[members]])
+            # From its anchor on, a segment covers a run of grid points.
+            covered = self._covers(segs[:, None], thetas)
+            seg_of[:, members] = np.where(covered.T, segs, seg_of[:, members])
+            nxt[members] += np.count_nonzero(covered, axis=1)
+        return seg_of
+
+    def at(self, theta: float, segs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(sel, resid_norms, m_actual)`` at theta from segments ``segs``,
+        recomputing the resamples whose segment does not cover theta."""
+        stale = np.flatnonzero(~self._covers(segs, theta))
+        if stale.size:
+            segs = segs.copy()
+            segs[stale] = self._compute(stale, np.full(stale.size, theta))
+        t = (theta - self.seg["theta"][segs])[:, None]
+        rss = self.seg["rss"][segs] + 2.0 * t * self.seg["c_d"][segs] \
+            + t * t * self.seg["d_d"][segs]
+        return self.seg["sel"][segs], np.sqrt(rss), self.seg["m"][segs]
+
+
 def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
                         rs: ResampleSet, alpha: float) -> IntervalReport:
     """Two-sided interval as the hull of the grid acceptance region.
@@ -293,22 +375,24 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     |statistic| lies between the alpha and (1-alpha) resample quantiles;
     the reported bounds are the outermost accepted points, tightened by one
     midpoint refinement on each side; ``clipped_low``/``clipped_high`` flag
-    an accepted grid end.
+    an accepted grid end. Greedy paths come from a ``_PathSweep`` along the
+    grid: ``paths`` counts the resample paths computed and
+    ``paths_reused`` the (resample, theta) evaluations that reused one.
     """
     beta_obs, sigma = _observed(engine, fit, j, rs, SIDE_TWO)
     lo_fallback = float(norm.ppf(0.5 * (1.0 + alpha)))
     hi_fallback = float(norm.ppf(1.0 - 0.5 * alpha))
     diag = {"evaluations": 0, "fallbacks": 0, "failures": 0}
 
-    def bounds_at(theta: float) -> tuple[float, float]:
-        cond = _conditioned(engine, rs, j, theta, diag)
+    def accepted(theta: float, segs: np.ndarray) -> tuple[bool, float]:
+        cond = _conditioned(engine, rs, j, theta, diag,
+                            paths=sweep.at(theta, segs))
         if len(cond) < MIN_CONDITIONED:
             diag["fallbacks"] += 1
-            return lo_fallback, hi_fallback
-        return (_order_statistic(cond, alpha), _order_statistic(cond, 1.0 - alpha))
-
-    def accepted(theta: float) -> tuple[bool, float]:
-        u_lo, u_hi = bounds_at(theta)
+            u_lo, u_hi = lo_fallback, hi_fallback
+        else:
+            u_lo = _order_statistic(cond, alpha)
+            u_hi = _order_statistic(cond, 1.0 - alpha)
         t_obs = abs(beta_obs - theta) / sigma
         inside = u_lo < t_obs < u_hi
         violation = max(u_lo - t_obs, t_obs - u_hi)
@@ -316,16 +400,22 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
 
     half = GRID_HALF_WIDTH * sigma
     grid = np.linspace(beta_obs - half, beta_obs + half, GRID_POINTS)
-    results = [accepted(theta) for theta in grid]
+    sweep = _PathSweep(engine, rs, j, sigma)
+    seg_of = sweep.grid(grid)
+    results = [accepted(theta, seg_of[g]) for g, theta in enumerate(grid)]
     inside = np.array([r[0] for r in results])
     diag.update(clipped_low=bool(inside[0]), clipped_high=bool(inside[-1]))
+
+    def done(lower: float, upper: float, empty: bool) -> IntervalReport:
+        diag.update(empty_region=empty, paths=sweep.paths,
+                    paths_reused=diag["evaluations"] * rs.w_b.shape[0] - sweep.paths)
+        return IntervalReport(j=j, method="hr", lower=lower, upper=upper,
+                              alpha=alpha, diagnostics=diag)
 
     if not inside.any():
         violations = np.array([r[1] for r in results])
         best = float(grid[int(np.argmin(violations))])
-        diag["empty_region"] = True
-        return IntervalReport(j=j, method="hr", lower=best, upper=best,
-                              alpha=alpha, diagnostics=diag)
+        return done(best, best, True)
 
     lo_idx = int(np.argmax(inside))
     hi_idx = int(len(inside) - 1 - np.argmax(inside[::-1]))
@@ -333,12 +423,10 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     theta_u = float(grid[hi_idx])
     if lo_idx > 0:
         mid = 0.5 * (grid[lo_idx - 1] + theta_l)
-        if accepted(mid)[0]:
+        if accepted(mid, seg_of[lo_idx - 1])[0]:
             theta_l = float(mid)
     if hi_idx < len(grid) - 1:
         mid = 0.5 * (theta_u + grid[hi_idx + 1])
-        if accepted(mid)[0]:
+        if accepted(mid, seg_of[hi_idx])[0]:
             theta_u = float(mid)
-    diag["empty_region"] = False
-    return IntervalReport(j=j, method="hr", lower=theta_l, upper=theta_u,
-                          alpha=alpha, diagnostics=diag)
+    return done(theta_l, theta_u, False)

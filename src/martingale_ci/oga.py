@@ -16,6 +16,14 @@ C_j / r2, ||U||^2 = ||y||^2 - sum (C_j / r2)^2). Where a difference cancels,
 that response takes the step in n-space: the distance of x_j to the span if
 r2^2 < 1e-6 x_j'x_j (so ``DEPENDENT_TOL`` keeps its meaning), the residual
 y - X_J beta if ||U||^2 < 1e-8 ||y||^2 (so an exact fit has residual 0).
+
+Given a direction column d, the loop also reports for each response y the
+interval of t on which the path of y + t x_d is the same. Along a fixed
+path the normalized correlations a = C/||x|| move as a + t b with
+b = D/||x||, D = X'(I-P_k)x_d, so the pick J (sign s) stays the argmax
+while (b_i - s b_J) t <= s a_J - a_i and (-b_i - s b_J) t <= s a_J + a_i
+for every candidate i. The residual norms there are
+sqrt(rss_k + 2 t C_d,k + t^2 D_d,k).
 """
 from __future__ import annotations
 
@@ -143,6 +151,8 @@ def oga_path_batch(
     kn: int,
     col_norms: np.ndarray | None = None,
     gram_cols: dict | None = None,
+    direction: int | None = None,
+    intervals: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy selection paths for many responses against one design.
 
@@ -151,10 +161,13 @@ def oga_path_batch(
     (B, kn) of residual norms after each step (NaN padded) and
     ``m_actual`` is (B,) path lengths. Selection rules match :func:`oga`.
     ``gram_cols`` (column index to x_j'X) is filled as columns are picked
-    and may be shared by calls against the same X.
+    and may be shared by calls against the same X. With a ``direction``
+    column d, ``intervals`` is filled with the interval on which each
+    path holds along x_d (see :func:`_greedy_paths`).
     """
     sel, resid_norms, m_actual, *_ = _greedy_paths(X, Y_batch, kn, col_norms,
-                                                   gram_cols)
+                                                   gram_cols, direction,
+                                                   intervals)
     return sel, resid_norms, m_actual
 
 
@@ -164,6 +177,8 @@ def _greedy_paths(
     kn: int,
     col_norms: np.ndarray | None = None,
     gram_cols: dict | None = None,
+    direction: int | None = None,
+    intervals: dict | None = None,
 ) -> tuple[np.ndarray, ...]:
     """The loop behind :func:`oga` and :func:`oga_path_batch`, in Gram space.
 
@@ -171,6 +186,14 @@ def _greedy_paths(
     :func:`oga_path_batch` plus, per response, the (kn, kn) R factor of the
     selected columns and the response's coefficients on Q = X_J R^-1.
     ``gram_cols`` caches the rows x_j'X of picked columns across calls.
+
+    With a ``direction`` column d the loop carries D = X'(I-P_k)x_d beside
+    C and fills ``intervals`` with (B,) arrays ``lo`` and ``hi``, the t
+    for which y + t x_d takes the same path and, by a conservative bound
+    on the stopping rule, does not stop early, and (B, kn) arrays ``rss``,
+    ``c_d`` and ``d_d``, the residual sum of squares, C_d and D_d after each
+    step (NaN padded). A response that stops early, takes an n-space step
+    or meets an exact tie gets ``lo = hi = 0``.
     """
     X = np.asarray(X, dtype=float)
     Y_batch = np.asarray(Y_batch, dtype=float)
@@ -191,6 +214,12 @@ def _greedy_paths(
     resid_norms = np.full((B, kn), np.nan)
     excluded = np.tile(col_norms <= 0.0, (B, 1))  # zero and selected columns
     active, rows = np.ones(B, dtype=bool), np.arange(B)
+    if direction is not None:
+        D = np.tile(X[:, direction] @ X, (B, 1))  # X'(I-P_k)x_d
+        top, bottom = np.zeros(B), np.zeros(B)  # 1/hi and 1/lo so far
+        rss_k, c_d, d_d = (np.full((B, kn), np.nan) for _ in range(3))
+        exact = np.ones(B, dtype=bool)  # no n-space step
+        stop_slope = RESIDUAL_TOL * col_norms[direction]  # ||y+tx_d|| growth
 
     for k in range(kn):
         scores = np.abs(C) / safe_norms
@@ -206,6 +235,12 @@ def _greedy_paths(
         r1 = XtQ[rows, :k, j_pick]  # (B, k) = Q'x_j
         r2sq = g_jj - np.einsum("bk,bk->b", r1, r1)
         r2 = np.sqrt(np.maximum(r2sq, 0.0))
+        if direction is not None:
+            step_top, step_bottom = _pick_bounds(
+                C / safe_norms, D / safe_norms, rows, j_pick,
+                scores[rows, j_pick] - stop_tol, stop_slope)
+            top, bottom = np.maximum(top, step_top), np.minimum(bottom, step_bottom)
+            exact &= r2sq >= 1e-6 * g_jj
         with np.errstate(divide="ignore", invalid="ignore"):  # stopped paths
             xq = (G_j - np.matmul(r1[:, None, :], XtQ[:, :k])[:, 0]) / r2[:, None]
             bq = C[rows, j_pick] / r2
@@ -216,6 +251,8 @@ def _greedy_paths(
                 qt -= Q @ (Q.T @ qt)
                 r2[b] = np.linalg.norm(qt)
                 xq[b], bq[b] = qt @ X / r2[b], qt @ Y_batch[:, b] / r2[b]
+            if direction is not None:
+                D -= xq * (D[rows, j_pick] / r2)[:, None]
         active &= r2 > DEPENDENT_TOL * col_norms[j_pick]
         if not active.any():
             break
@@ -230,11 +267,51 @@ def _greedy_paths(
         excluded[rows[upd], j_pick[upd]] = True
         rss[upd] -= bq[upd] ** 2
         # Cancellation in ||y||^2 - sum bq^2: recompute y - X_J beta.
-        for b in (active & (rss < 1e-8 * yy)).nonzero()[0]:
+        rescue = (active & (rss < 1e-8 * yy)).nonzero()[0]
+        for b in rescue:
             beta = solve_triangular(Rs[b, :k + 1, :k + 1], beta_q[b, :k + 1])
             u = Y_batch[:, b] - X[:, sel[b, :k + 1]] @ beta
             rss[b], C[b] = u @ u, u @ X
         resid_norms[upd, k] = np.sqrt(rss[upd])
         m_actual[upd] = k + 1
+        if direction is not None:
+            exact[rescue] = False
+            rss_k[:, k], c_d[:, k], d_d[:, k] = rss, C[:, direction], D[:, direction]
 
+    if direction is not None:
+        # Entries of a stopped path past its end are stale. An infinite
+        # ratio is an exact tie, a NaN one a tie that lasts along t; like a
+        # stop or an n-space step, both give [0, 0].
+        past = np.arange(kn) >= m_actual[:, None]
+        for steps in (rss_k, c_d, d_d):
+            steps[past] = np.nan
+        fixed = exact & (m_actual == kn) & np.isfinite(top + bottom)
+        with np.errstate(divide="ignore"):
+            intervals.update(lo=np.where(fixed, -1.0 / np.maximum(0.0, -bottom), 0.0),
+                             hi=np.where(fixed, 1.0 / np.maximum(0.0, top), 0.0),
+                             rss=rss_k, c_d=c_d, d_d=d_d)
     return sel, resid_norms, m_actual, Rs, beta_q
+
+
+def _pick_bounds(a, b, rows, j_pick, slack, stop_slope):
+    """Largest and smallest r/c over the constraints c t <= r that keep
+    this step's picks, per response; 1/hi and 1/lo of the step.
+
+    ``a``/``b`` are the normalized correlations and their slopes along the
+    direction before the step (both overwritten), ``slack`` = s a_J -
+    stop_tol. Every r >= 0, so only c > 0 bounds t above and c < 0 below.
+    Selected and zero columns (a and b zero up to rounding) and the pick
+    (zeroed here) only give s a_J + t s b_J >= 0, which every candidate
+    already implies.
+    """
+    sb = (np.sign(a[rows, j_pick]) * b[rows, j_pick])[:, None]
+    s_a = np.abs(a[rows, j_pick])[:, None]
+    a[rows, j_pick] = b[rows, j_pick] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = (b - sb) / (s_a - a)
+        down = (b + sb) / (-s_a - a)
+        # Not stopping: s a_J + t s b_J > stop_tol (1 + |t| ||x_d|| / ||y||).
+        stop_up = (stop_slope - sb[:, 0]) / slack
+        stop_down = (-stop_slope - sb[:, 0]) / slack
+    return (np.maximum(np.maximum(up.max(axis=1), down.max(axis=1)), stop_up),
+            np.minimum(np.minimum(up.min(axis=1), down.min(axis=1)), stop_down))

@@ -159,6 +159,19 @@ class TestAggregate:
         report = aggregate(rows, "IID", 60, 30, ("t",))
         assert report.cr["t"][0.6] == 0.0
 
+    def test_upper_bound_below_beta_misses(self):
+        # Two-sided rows cover only when beta lies between the bounds.
+        rows = [{"kind": "interval", "rep": "0", "j": str(j), "beta_true": "0.1",
+                 "method": "hr", "lb": "0.0", "ub": ub, "m": "", "amse": "",
+                 "flags": "ok"} for j, ub in ((7, "0.05"), (8, "0.2"))]
+        rows.append({"kind": "rep", "rep": "0", "j": "", "beta_true": "",
+                     "method": "", "lb": "", "ub": "", "m": "2", "amse": "0.1",
+                     "flags": "ok"})
+        report = aggregate(rows, "IID", 60, 30, ("hr",))
+        assert report.cr["hr"][0.1] == 0.5
+        assert report.overall_cr["hr"] == 0.5
+        assert aggregate(rows[:1] + rows[2:], "IID", 60, 30, ("hr",)).cr["hr"][0.1] == 0.0
+
     def test_overall_is_selection_weighted_combination(self):
         res = [run_replication("IID", 120, 30, 9, r, 20, 0.2, 3, 1,
                                ("t", "iv"), "one") for r in range(4)]
@@ -185,6 +198,18 @@ class TestAggregate:
     def test_amse_is_mean_of_rep_values(self):
         report = aggregate(synthetic_records(), "IID", 60, 30, ("t",))
         assert np.isclose(report.amse, 0.05)
+
+    def test_nonfinite_amse_left_out(self):
+        # Rows straight from the replication results, as a benchmark
+        # aggregates them without a record store: a failed replication
+        # carries amse NaN there, not "".
+        results = [{"rep": 0, "intervals": [], "m": 3, "amse": 0.2, "flags": "ok"},
+                   {"rep": 1, "intervals": [], "m": "", "amse": math.nan,
+                    "flags": "failed:ValueError"}]
+        rows = [row for r in results for row in harness._records_from_result(r)]
+        report = aggregate(rows, "IID", 60, 30, ("t",))
+        assert (report.reps, report.failed) == (2, 1)
+        assert report.amse == 0.2
 
     def test_failed_replication_counted(self, tmp_path):
         rows = synthetic_records()[:7]  # replication 0: six intervals, one rep row

@@ -5,7 +5,12 @@ from scipy.stats import norm
 from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.hybrid import (
     BISECT_WIDTH,
+    GRID_HALF_WIDTH,
+    GRID_POINTS,
+    MIN_CONDITIONED,
     StatisticEngine,
+    _order_statistic,
+    _PathSweep,
     _synthetic_batch,
     fit_pipeline,
     hybrid_ci_one_sided,
@@ -213,6 +218,90 @@ class TestHybridOneSided:
         assert rep.lower < beta_j - 10 * sigma
 
 
+def _per_theta_interval(engine, fit, j, rs, alpha):
+    """The two-sided grid bound with fresh paths at every theta.
+
+    One ``oga_path_batch`` and one ``statistics_batch`` call per theta, as
+    the bound ran before paths were reused along theta. Returns the bounds,
+    the flags and the paths of every theta evaluated.
+    """
+    pos = fit.position(j)
+    beta_obs, sigma = float(fit.estimate.beta_tilde[pos]), float(fit.sigma[pos])
+    fallback = (norm.ppf(0.5 * (1 + alpha)), norm.ppf(1 - 0.5 * alpha))
+    paths, flags = {}, {"fallbacks": 0, "failures": 0}
+
+    def accepted(theta):
+        Y = _synthetic_batch(engine.X, rs, j, theta)
+        paths[theta] = oga_path_batch(engine.X, Y, engine.kn, engine.col_norms)
+        stats, selected, failures = engine.statistics_batch(Y, j, theta,
+                                                            paths=paths[theta])
+        flags["failures"] += failures
+        cond = stats[selected & np.isfinite(stats)]
+        u = fallback
+        if len(cond) >= MIN_CONDITIONED:
+            u = (_order_statistic(cond, alpha), _order_statistic(cond, 1 - alpha))
+        else:
+            flags["fallbacks"] += 1
+        t_obs = abs(beta_obs - theta) / sigma
+        return u[0] < t_obs < u[1], max(u[0] - t_obs, t_obs - u[1])
+
+    half = GRID_HALF_WIDTH * sigma
+    grid = np.linspace(beta_obs - half, beta_obs + half, GRID_POINTS)
+    results = [accepted(theta) for theta in grid]
+    inside = np.array([r[0] for r in results])
+    flags.update(clipped_low=bool(inside[0]), clipped_high=bool(inside[-1]),
+                 empty_region=not inside.any())
+    if flags["empty_region"]:
+        best = float(grid[np.argmin([r[1] for r in results])])
+        return (best, best), flags, paths
+    lo_idx = int(np.argmax(inside))
+    hi_idx = len(inside) - 1 - int(np.argmax(inside[::-1]))
+    lower, upper = float(grid[lo_idx]), float(grid[hi_idx])
+    if lo_idx > 0 and accepted(mid := 0.5 * (grid[lo_idx - 1] + lower))[0]:
+        lower = float(mid)
+    if hi_idx < len(grid) - 1 and accepted(mid := 0.5 * (upper + grid[hi_idx + 1]))[0]:
+        upper = float(mid)
+    return (lower, upper), flags, paths
+
+
+class TestGridSweep:
+    """Reused paths along theta against recomputation at every theta."""
+
+    @pytest.mark.parametrize("setting", ["IID", "AR", "LAI"])
+    def test_sweep_matches_per_theta_recomputation(self, setting):
+        n, p, B, alpha = 200, 250, 50, 0.1
+        reused = 0
+        for rep in range(7):
+            ds = generate(DgpConfig(setting=setting, n=n, p=p, seed=300 + rep),
+                          make_beta(p))
+            engine = StatisticEngine(ds.X, StatConfig(kmax=5, q=1, side=SIDE_TWO))
+            fit = engine.fit(ds.Y)
+            rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=B, seed=rep)
+            j = int(fit.j_hat[rep % len(fit.j_hat)])
+            bounds, flags, fresh = _per_theta_interval(engine, fit, j, rs, alpha)
+
+            pos = fit.position(j)
+            sigma = float(fit.sigma[pos])
+            grid = np.array(list(fresh)[:GRID_POINTS])
+            sweep = _PathSweep(engine, rs, j, sigma)
+            seg_of = sweep.grid(grid)
+            for g, theta in enumerate(grid):
+                sel, resid, m_actual = sweep.at(theta, seg_of[g])
+                want_sel, want_resid, want_m = fresh[theta]
+                assert np.array_equal(m_actual, want_m)
+                assert np.array_equal(sel, want_sel)
+                assert np.array_equal(hdbic(resid, n, p), hdbic(want_resid, n, p))
+
+            report = hybrid_ci_two_sided(engine, fit, j, rs, alpha)
+            assert (report.lower, report.upper) == bounds
+            diag = report.diagnostics
+            assert {key: diag[key] for key in flags} == flags
+            assert diag["evaluations"] == len(fresh)
+            assert diag["paths"] + diag["paths_reused"] == len(fresh) * B
+            reused += diag["paths_reused"]
+        assert reused > 0.5 * 7 * GRID_POINTS * B
+
+
 class TestHybridTwoSided:
     def test_degenerate_resamples_collapse_interval(self):
         ds, _ = small_problem(6, n=140, p=25)
@@ -282,7 +371,7 @@ class TestHybridTwoSided:
         for top, clipped in ((100.0, True), (2.0, False)):
             stats = np.repeat([0.0, top], 20)
 
-            def fixed(Y_batch, jj, theta, stats=stats):
+            def fixed(Y_batch, jj, theta, paths=None, stats=stats):
                 return stats.copy(), np.ones(len(stats), dtype=bool), 0
 
             monkeypatch.setattr(engine, "statistics_batch", fixed)

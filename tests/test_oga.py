@@ -270,6 +270,100 @@ class TestGramSpaceRescues:
                 assert hdbic(resid[b, :m], 16, 12) == m
 
 
+def _paths_along(X, Yb, kn, d):
+    found = {}
+    sel, resid, m_act = oga_path_batch(X, Yb, kn, direction=d, intervals=found)
+    return sel, resid, m_act, found
+
+
+class TestDirectionInterval:
+    """The t-interval on which the path of y + t x_d stays the same."""
+
+    @pytest.fixture(params=["IID", "LAI", "GARCH"])
+    def design(self, request):
+        from martingale_ci.dgp import DgpConfig, generate, make_beta
+
+        ds = generate(DgpConfig(setting=request.param, n=90, p=60, seed=5),
+                      make_beta(60))
+        rng = np.random.default_rng(6)
+        Yb = ds.Y[:, None] + 0.5 * rng.standard_normal((90, 12))
+        return ds.X, Yb, default_iterations(90, 60), int(oga(ds.X, ds.Y, 1).j_hat[0])
+
+    def test_same_work_without_direction(self, design):
+        X, Yb, kn, d = design
+        sel, resid, m_act, _ = _paths_along(X, Yb, kn, d)
+        plain = oga_path_batch(X, Yb, kn)
+        assert np.array_equal(sel, plain[0]) and np.array_equal(m_act, plain[2])
+        assert np.array_equal(resid, plain[1], equal_nan=True)
+
+    def test_path_and_residual_norms_hold_inside(self, design):
+        X, Yb, kn, d = design
+        sel, _, m_act, found = _paths_along(X, Yb, kn, d)
+        lo, hi = found["lo"], found["hi"]
+        assert np.all(lo <= 0.0) and np.all(hi >= 0.0)
+        assert np.count_nonzero(hi > 0.0) >= 9
+        margin = 1e-9
+        for b in np.flatnonzero(hi > 0.0):
+            ends = [np.clip(e, -10.0, 10.0) for e in (lo[b], hi[b])]
+            for t in (0.999 * ends[0] + margin, 0.5 * ends[0], 0.5 * ends[1],
+                      0.999 * ends[1] - margin):
+                y = Yb[:, [b]] + t * X[:, [d]]
+                s2, r2, m2 = oga_path_batch(X, y, kn)
+                assert m2[0] == m_act[b] == kn
+                assert s2[0].tolist() == sel[b].tolist()
+                rss = found["rss"][b] + 2 * t * found["c_d"][b] + t * t * found["d_d"][b]
+                assert np.allclose(np.sqrt(rss), r2[0], rtol=1e-10, atol=0.0)
+
+    def test_path_changes_just_past_the_ends(self, design):
+        # Ends beyond 1e6 are rounding: once x_d is selected the path no
+        # longer moves with t, and the stopping rule binds only near 1e13.
+        # Every other end is a candidate overtaking a pick.
+        X, Yb, kn, d = design
+        sel, _, _, found = _paths_along(X, Yb, kn, d)
+        checked = 0
+        for b in range(Yb.shape[1]):
+            for end in (found["lo"][b], found["hi"][b]):
+                if end == 0.0 or not abs(end) < 1e6:
+                    continue
+                t = end + np.sign(end) * 1e-6 * max(1.0, abs(end))
+                s2, _, _ = oga_path_batch(X, Yb[:, [b]] + t * X[:, [d]], kn)
+                assert s2[0].tolist() != sel[b].tolist()
+                checked += 1
+        assert checked >= 9
+
+    def test_stopped_and_rescued_paths_get_empty_interval(self):
+        # Orthogonal +-1 design: a response in the span of two columns
+        # stops after two steps; with 1e-5 noise it goes on but its
+        # residual takes the n-space rescue; a plain noisy response keeps
+        # a nonempty interval.
+        H = np.array([[1.0]])
+        while H.shape[0] < 16:
+            H = np.block([[H, H], [H, -H]])
+        X = H[:, 1:13]
+        noise = np.random.default_rng(15).standard_normal((16, 2))
+        exact = X[:, [2, 5]] @ [3.0, -2.0]
+        Yb = np.column_stack([exact, exact + 1e-5 * noise[:, 0], noise[:, 1]])
+        _, _, m_act, found = _paths_along(X, Yb, 6, 2)
+        assert m_act.tolist() == [2, 6, 6]
+        assert found["lo"][:2].tolist() == found["hi"][:2].tolist() == [0.0, 0.0]
+        assert found["lo"][2] < 0.0 < found["hi"][2]
+        assert np.isnan(found["rss"][0, 2:]).all()
+
+    def test_distance_rescue_gets_empty_interval(self):
+        # The near-dependent pair of TestGramSpaceRescues: the second step
+        # measures r2 in n-space.
+        E = _basis(30, 8, 11)
+        X = E[:, :6] * np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+        X[:, 4] = X[:, 1] + 1e-4 * E[:, 6]
+        Yb = np.column_stack([X[:, 1] + 10.0 * E[:, 6] + 0.3 * E[:, 7],
+                              X[:, [0, 2, 3, 5]] @ [1.0, 0.7, 0.5, 0.3] + 0.3 * E[:, 7]])
+        sel, _, m_act, found = _paths_along(X, Yb, 4, 1)
+        assert sel[0, :2].tolist() == [4, 1] and 1 not in sel[1, :2]
+        assert m_act.tolist() == [4, 4]
+        assert found["lo"][0] == found["hi"][0] == 0.0
+        assert found["lo"][1] < 0.0 < found["hi"][1]
+
+
 class TestSelectionScale:
     def test_selected_size_large_factor_design(self):
         # Monte-Carlo check at the main experiment scale: the chosen m
