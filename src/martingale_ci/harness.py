@@ -89,6 +89,7 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         check_options(self.methods, self.side, self.alpha, self.B, self.kmax,
                       self.q)
+        _worker_count(self)  # a bad MARTINGALE_CI_WORKERS fails here
 
 
 @dataclass
@@ -258,10 +259,21 @@ def _append_records(path: Path, rows: list[dict], write_header: bool) -> None:
 
 
 def _worker_count(cfg: ExperimentConfig) -> int:
+    """Pool size: ``MARTINGALE_CI_WORKERS`` if set, else ``cfg.workers``.
+
+    Raises ``ValueError`` when the variable is set but is not a positive
+    integer.
+    """
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return max(1, cfg.workers)
+    if not env:
+        return max(1, cfg.workers)
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}")
+    return workers
 
 
 def _pin_blas_threads() -> None:

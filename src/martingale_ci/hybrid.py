@@ -5,9 +5,10 @@ combined estimate and the resampled disturbances, each synthetic response
 is pushed through the full statistic pipeline (selection included), and
 the observed statistic is compared with quantiles of the synthetic ones,
 conditioned on the target column having been selected. The one-sided bound
-inverts that comparison by bisection; the two-sided bound scans a grid,
-reusing each resample's greedy path over the theta-interval on which it
-provably holds.
+inverts that comparison by bisection, reusing a resample's greedy path
+between two evaluated thetas at which it is the same; the two-sided bound
+scans a grid, reusing each resample's greedy path over the theta-interval
+on which it provably holds.
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ from .inference import (
     covariance,
 )
 from .iv_estimator import factor_gram
-from .oga import default_iterations, hdbic, oga_hdbic, oga_path_batch
+from .oga import (RSS_RESCUE_TOL, default_iterations, hdbic, oga_hdbic,
+                  oga_path_batch)
 from .resampler import ResampleSet
 
 MIN_RESAMPLES = 20
@@ -273,17 +275,23 @@ def hybrid_ci_one_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     the observed response. Walks down from the point estimate until the
     observed statistic exceeds the resampled (1-alpha)-quantile, then
     bisects the bracketing interval to within sigma * BISECT_WIDTH.
+    Greedy paths come from a ``_PathSweep`` that reuses a resample's path
+    between two evaluated thetas where it is the same: ``paths`` counts
+    the resample paths computed and ``paths_reused`` the (resample, theta)
+    evaluations that reused one.
     """
     beta_obs, sigma = _observed(engine, fit, j, rs, SIDE_ONE)
     level = 1.0 - alpha
     diag = {"evaluations": 0, "empty_conditioning": 0,
             "min_conditioned": np.inf, "failures": 0}
+    sweep = _PathSweep(engine, rs, j, sigma)
 
     def observed_stat(theta: float) -> float:
         return (beta_obs - theta) / sigma
 
     def u_upper(theta: float) -> float:
-        cond = _conditioned(engine, rs, j, theta, diag)
+        cond = _conditioned(engine, rs, j, theta, diag,
+                            paths=sweep.bracketed(theta))
         diag["min_conditioned"] = min(diag["min_conditioned"], len(cond))
         if len(cond) == 0:
             # No resample selected the column at this theta: there is no
@@ -293,19 +301,33 @@ def hybrid_ci_one_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
         return _order_statistic(cond, level)
 
     lower, bisect_diag = invert_lower_bound(observed_stat, u_upper, beta_obs, sigma)
-    diag.update(bisect_diag)
+    diag.update(bisect_diag, paths=sweep.paths,
+                paths_reused=diag["evaluations"] * rs.w_b.shape[0] - sweep.paths)
     return IntervalReport(j=j, method="hr", lower=lower, upper=np.inf,
                           alpha=alpha, diagnostics=diag)
 
 
 class _PathSweep:
-    """Greedy paths of the synthetic responses along increasing theta.
+    """Greedy paths of the synthetic responses along theta.
 
-    Resample b's response at theta is a_b + theta x_j, so a path computed
-    at an anchor theta_0 holds for theta - theta_0 in the interval
-    ``oga_path_batch`` reports along column j, with residual norms
-    sqrt(rss + 2 t C_d + t^2 D_d) at t = theta - theta_0. Each computed
-    path is a segment of ``seg``.
+    Resample b's response at theta is a_b + theta x_j. Each computed path
+    is a segment of ``seg``, anchored at the theta it was computed at;
+    where it holds, its residual norms at t = theta - anchor are
+    sqrt(rss + 2 t C_d + t^2 D_d) (``oga_path_batch`` along column j). Two
+    rules say where a path holds:
+
+    - ``grid``/``at``: on the interval ``oga_path_batch`` bounds along x_j.
+    - ``bracketed``: between two evaluated thetas at which the resample's
+      paths are the same (same picks, same signs, all kn steps, no n-space
+      step). Along a fixed path the normalized correlations move as
+      a + t b. The pick J with sign s stays the argmax while every
+      |a_i + t b_i| - s (a_J + t b_J) <= 0, and each of these is convex
+      in t, so it holds between two points where it holds. The path goes
+      on while s (a_J + t b_J) - RESIDUAL_TOL ||y + t x_j|| > 0, and this
+      is concave in t. ``DEPENDENT_TOL`` and the n-space distance test
+      depend on the design only. So the path holds everywhere in between,
+      with no per-step bound; only the rss rescue test, which depends on
+      theta, is checked again there.
     """
 
     def __init__(self, engine: StatisticEngine, rs: ResampleSet, j: int,
@@ -313,16 +335,24 @@ class _PathSweep:
         self.engine, self.rs, self.j = engine, rs, j
         self.margin = REUSE_MARGIN * sigma
         self.seg: dict[str, np.ndarray] = {}
+        self.visits: dict[float, np.ndarray] = {}  # theta -> segments there
 
-    def _compute(self, members: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """Paths of resamples ``members`` at ``thetas``; their segment ids."""
+    def _compute(self, members: np.ndarray, thetas: np.ndarray,
+                 bounds: bool) -> np.ndarray:
+        """Paths of resamples ``members`` at ``thetas``; their segment ids.
+
+        Without ``bounds`` a segment's interval is its anchor alone.
+        """
         e = self.engine
         Y = _synthetic_batch(e.X, self.rs, self.j, thetas, members)
         found: dict = {}
         sel, _, m_actual = oga_path_batch(e.X, Y, e.kn, e.col_norms, e.gram_cols,
-                                          direction=self.j, intervals=found)
-        new = dict(theta=thetas, hi=found["hi"], sel=sel, m=m_actual,
-                   rss=found["rss"], c_d=found["c_d"], d_d=found["d_d"])
+                                          direction=self.j, along=found,
+                                          bounds=bounds)
+        new = dict(theta=thetas, hi=found.get("hi", np.zeros(len(members))),
+                   sel=sel, m=m_actual, rss=found["rss"], c_d=found["c_d"],
+                   d_d=found["d_d"], sign=found["sign"], exact=found["exact"],
+                   yy=np.einsum("nb,nb->b", Y, Y), xy=e.X[:, self.j] @ Y)
         start = self.paths
         self.seg = {key: np.concatenate([self.seg[key], value]) if self.seg else value
                     for key, value in new.items()}
@@ -337,6 +367,16 @@ class _PathSweep:
         t = theta - self.seg["theta"][segs]
         return (t == 0.0) | (t >= 0.0) & (t < self.seg["hi"][segs] - self.margin)
 
+    def _rss(self, theta: float, segs: np.ndarray) -> np.ndarray:
+        """Per-step residual sums of squares of segments ``segs`` at theta."""
+        t = (theta - self.seg["theta"][segs])[:, None]
+        return self.seg["rss"][segs] + 2.0 * t * self.seg["c_d"][segs] \
+            + t * t * self.seg["d_d"][segs]
+
+    def _paths(self, theta: float, segs: np.ndarray) -> tuple[np.ndarray, ...]:
+        return self.seg["sel"][segs], np.sqrt(self._rss(theta, segs)), \
+            self.seg["m"][segs]
+
     def grid(self, thetas: np.ndarray) -> np.ndarray:
         """Segment of each (grid point, resample), thetas increasing.
 
@@ -346,7 +386,7 @@ class _PathSweep:
         seg_of = np.empty((len(thetas), self.rs.w_b.shape[0]), dtype=int)
         nxt = np.zeros(seg_of.shape[1], dtype=int)
         while (members := np.flatnonzero(nxt < len(thetas))).size:
-            segs = self._compute(members, thetas[nxt[members]])
+            segs = self._compute(members, thetas[nxt[members]], bounds=True)
             # From its anchor on, a segment covers a run of grid points.
             covered = self._covers(segs[:, None], thetas)
             seg_of[:, members] = np.where(covered.T, segs, seg_of[:, members])
@@ -359,11 +399,42 @@ class _PathSweep:
         stale = np.flatnonzero(~self._covers(segs, theta))
         if stale.size:
             segs = segs.copy()
-            segs[stale] = self._compute(stale, np.full(stale.size, theta))
-        t = (theta - self.seg["theta"][segs])[:, None]
-        rss = self.seg["rss"][segs] + 2.0 * t * self.seg["c_d"][segs] \
-            + t * t * self.seg["d_d"][segs]
-        return self.seg["sel"][segs], np.sqrt(rss), self.seg["m"][segs]
+            segs[stale] = self._compute(stale, np.full(stale.size, theta),
+                                        bounds=True)
+        return self._paths(theta, segs)
+
+    def bracketed(self, theta: float) -> tuple[np.ndarray, ...]:
+        """``(sel, resid_norms, m_actual)`` at theta, in any order of thetas.
+
+        A resample whose paths at the nearest evaluated thetas below and
+        above are the same reuses the one anchored nearer theta; the
+        others are recomputed in one batch.
+        """
+        below = max((v for v in self.visits if v <= theta), default=None)
+        above = min((v for v in self.visits if v >= theta), default=None)
+        segs = np.full(self.rs.w_b.shape[0], -1)
+        if below is not None and above is not None:
+            s1, s2 = self.visits[below], self.visits[above]
+            seg = self.seg
+            same = (seg["exact"][s1] & seg["exact"][s2]
+                    & (seg["sel"][s1] == seg["sel"][s2]).all(axis=1)
+                    & (seg["sign"][s1] == seg["sign"][s2]).all(axis=1))
+            nearer = np.where(abs(theta - seg["theta"][s1])
+                              <= abs(theta - seg["theta"][s2]), s1, s2)
+            kept = nearer[same]
+            t = theta - seg["theta"][kept]
+            yy = seg["yy"][kept] + 2.0 * t * seg["xy"][kept] \
+                + t * t * self.engine.col_norms[self.j] ** 2
+            # The loop's own guard: an rss that cancels takes the n-space step.
+            holds = np.all(self._rss(theta, kept) >= RSS_RESCUE_TOL * yy[:, None],
+                           axis=1)
+            segs[np.flatnonzero(same)[holds]] = kept[holds]
+        stale = np.flatnonzero(segs < 0)
+        if stale.size:
+            segs[stale] = self._compute(stale, np.full(stale.size, theta),
+                                        bounds=False)
+        self.visits[theta] = segs
+        return self._paths(theta, segs)
 
 
 def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,

@@ -17,13 +17,17 @@ that response takes the step in n-space: the distance of x_j to the span if
 r2^2 < 1e-6 x_j'x_j (so ``DEPENDENT_TOL`` keeps its meaning), the residual
 y - X_J beta if ||U||^2 < 1e-8 ||y||^2 (so an exact fit has residual 0).
 
-Given a direction column d, the loop also reports for each response y the
-interval of t on which the path of y + t x_d is the same. Along a fixed
+Given a direction column d, the loop also records what a path says about
+y + t x_d while it holds: per step the residual sum of squares rss_k,
+C_d,k = x_d'U and D_d,k = x_d'(I-P_k)x_d (one scalar recurrence,
+D_d <- D_d - (q_k'x_d)^2), so the residual norms are
+sqrt(rss_k + 2 t C_d,k + t^2 D_d,k); the signs of the picks; and whether
+the path ran its full length with no n-space step. On request it also
+bounds the interval of t on which the path is the same. Along a fixed
 path the normalized correlations a = C/||x|| move as a + t b with
 b = D/||x||, D = X'(I-P_k)x_d, so the pick J (sign s) stays the argmax
 while (b_i - s b_J) t <= s a_J - a_i and (-b_i - s b_J) t <= s a_J + a_i
-for every candidate i. The residual norms there are
-sqrt(rss_k + 2 t C_d,k + t^2 D_d,k).
+for every candidate i. That carries the whole of D beside C.
 """
 from __future__ import annotations
 
@@ -38,6 +42,9 @@ RESIDUAL_TOL = 1e-13
 # A new column whose component outside the selected span is below
 # DEPENDENT_TOL * ||column|| is numerically dependent and stops the path.
 DEPENDENT_TOL = 1e-10
+# A residual sum of squares below RSS_RESCUE_TOL * ||Y||^2 has cancelled in
+# Gram space and is recomputed from the residual in n-space.
+RSS_RESCUE_TOL = 1e-8
 
 
 @dataclass
@@ -152,7 +159,8 @@ def oga_path_batch(
     col_norms: np.ndarray | None = None,
     gram_cols: dict | None = None,
     direction: int | None = None,
-    intervals: dict | None = None,
+    along: dict | None = None,
+    bounds: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy selection paths for many responses against one design.
 
@@ -162,12 +170,13 @@ def oga_path_batch(
     ``m_actual`` is (B,) path lengths. Selection rules match :func:`oga`.
     ``gram_cols`` (column index to x_j'X) is filled as columns are picked
     and may be shared by calls against the same X. With a ``direction``
-    column d, ``intervals`` is filled with the interval on which each
-    path holds along x_d (see :func:`_greedy_paths`).
+    column d, ``along`` is filled with what each path says along x_d, and
+    with ``bounds`` also with the interval on which it holds (see
+    :func:`_greedy_paths`).
     """
     sel, resid_norms, m_actual, *_ = _greedy_paths(X, Y_batch, kn, col_norms,
                                                    gram_cols, direction,
-                                                   intervals)
+                                                   along, bounds)
     return sel, resid_norms, m_actual
 
 
@@ -178,7 +187,8 @@ def _greedy_paths(
     col_norms: np.ndarray | None = None,
     gram_cols: dict | None = None,
     direction: int | None = None,
-    intervals: dict | None = None,
+    along: dict | None = None,
+    bounds: bool = False,
 ) -> tuple[np.ndarray, ...]:
     """The loop behind :func:`oga` and :func:`oga_path_batch`, in Gram space.
 
@@ -187,12 +197,14 @@ def _greedy_paths(
     selected columns and the response's coefficients on Q = X_J R^-1.
     ``gram_cols`` caches the rows x_j'X of picked columns across calls.
 
-    With a ``direction`` column d the loop carries D = X'(I-P_k)x_d beside
-    C and fills ``intervals`` with (B,) arrays ``lo`` and ``hi``, the t
-    for which y + t x_d takes the same path and, by a conservative bound
-    on the stopping rule, does not stop early, and (B, kn) arrays ``rss``,
-    ``c_d`` and ``d_d``, the residual sum of squares, C_d and D_d after each
-    step (NaN padded). A response that stops early, takes an n-space step
+    With a ``direction`` column d the loop fills ``along`` with (B, kn)
+    arrays ``rss``, ``c_d`` and ``d_d``, the residual sum of squares, C_d
+    and D_d after each step (NaN padded), ``sign``, the signs of
+    ``beta_q`` (0 padded), and the (B,) mask ``exact`` of paths that ran
+    all kn steps with no n-space step. With ``bounds`` it also carries
+    D = X'(I-P_k)x_d beside C and adds (B,) arrays ``lo`` and ``hi``, the
+    t for which y + t x_d takes the same path and, by a conservative bound
+    on the stopping rule, does not stop early. A path that is not exact
     or meets an exact tie gets ``lo = hi = 0``.
     """
     X = np.asarray(X, dtype=float)
@@ -215,10 +227,12 @@ def _greedy_paths(
     excluded = np.tile(col_norms <= 0.0, (B, 1))  # zero and selected columns
     active, rows = np.ones(B, dtype=bool), np.arange(B)
     if direction is not None:
-        D = np.tile(X[:, direction] @ X, (B, 1))  # X'(I-P_k)x_d
-        top, bottom = np.zeros(B), np.zeros(B)  # 1/hi and 1/lo so far
+        dd = np.full(B, X[:, direction] @ X[:, direction])  # x_d'(I-P_k)x_d
         rss_k, c_d, d_d = (np.full((B, kn), np.nan) for _ in range(3))
         exact = np.ones(B, dtype=bool)  # no n-space step
+    if bounds:
+        D = np.tile(X[:, direction] @ X, (B, 1))  # X'(I-P_k)x_d
+        top, bottom = np.zeros(B), np.zeros(B)  # 1/hi and 1/lo so far
         stop_slope = RESIDUAL_TOL * col_norms[direction]  # ||y+tx_d|| growth
 
     for k in range(kn):
@@ -236,11 +250,12 @@ def _greedy_paths(
         r2sq = g_jj - np.einsum("bk,bk->b", r1, r1)
         r2 = np.sqrt(np.maximum(r2sq, 0.0))
         if direction is not None:
+            exact &= r2sq >= 1e-6 * g_jj
+        if bounds:
             step_top, step_bottom = _pick_bounds(
                 C / safe_norms, D / safe_norms, rows, j_pick,
                 scores[rows, j_pick] - stop_tol, stop_slope)
             top, bottom = np.maximum(top, step_top), np.minimum(bottom, step_bottom)
-            exact &= r2sq >= 1e-6 * g_jj
         with np.errstate(divide="ignore", invalid="ignore"):  # stopped paths
             xq = (G_j - np.matmul(r1[:, None, :], XtQ[:, :k])[:, 0]) / r2[:, None]
             bq = C[rows, j_pick] / r2
@@ -251,7 +266,7 @@ def _greedy_paths(
                 qt -= Q @ (Q.T @ qt)
                 r2[b] = np.linalg.norm(qt)
                 xq[b], bq[b] = qt @ X / r2[b], qt @ Y_batch[:, b] / r2[b]
-            if direction is not None:
+            if bounds:
                 D -= xq * (D[rows, j_pick] / r2)[:, None]
         active &= r2 > DEPENDENT_TOL * col_norms[j_pick]
         if not active.any():
@@ -267,7 +282,7 @@ def _greedy_paths(
         excluded[rows[upd], j_pick[upd]] = True
         rss[upd] -= bq[upd] ** 2
         # Cancellation in ||y||^2 - sum bq^2: recompute y - X_J beta.
-        rescue = (active & (rss < 1e-8 * yy)).nonzero()[0]
+        rescue = (active & (rss < RSS_RESCUE_TOL * yy)).nonzero()[0]
         for b in rescue:
             beta = solve_triangular(Rs[b, :k + 1, :k + 1], beta_q[b, :k + 1])
             u = Y_batch[:, b] - X[:, sel[b, :k + 1]] @ beta
@@ -276,20 +291,24 @@ def _greedy_paths(
         m_actual[upd] = k + 1
         if direction is not None:
             exact[rescue] = False
-            rss_k[:, k], c_d[:, k], d_d[:, k] = rss, C[:, direction], D[:, direction]
+            dd[upd] -= xq[upd, direction] ** 2
+            rss_k[:, k], c_d[:, k], d_d[:, k] = rss, C[:, direction], dd
 
     if direction is not None:
-        # Entries of a stopped path past its end are stale. An infinite
-        # ratio is an exact tie, a NaN one a tie that lasts along t; like a
-        # stop or an n-space step, both give [0, 0].
+        # Entries of a stopped path past its end are stale.
         past = np.arange(kn) >= m_actual[:, None]
         for steps in (rss_k, c_d, d_d):
             steps[past] = np.nan
-        fixed = exact & (m_actual == kn) & np.isfinite(top + bottom)
+        exact &= m_actual == kn
+        along.update(rss=rss_k, c_d=c_d, d_d=d_d, sign=np.sign(beta_q),
+                     exact=exact)
+    if bounds:
+        # An infinite ratio is an exact tie, a NaN one a tie that lasts
+        # along t; like a stop or an n-space step, both give [0, 0].
+        fixed = exact & np.isfinite(top + bottom)
         with np.errstate(divide="ignore"):
-            intervals.update(lo=np.where(fixed, -1.0 / np.maximum(0.0, -bottom), 0.0),
-                             hi=np.where(fixed, 1.0 / np.maximum(0.0, top), 0.0),
-                             rss=rss_k, c_d=c_d, d_d=d_d)
+            along.update(lo=np.where(fixed, -1.0 / np.maximum(0.0, -bottom), 0.0),
+                         hi=np.where(fixed, 1.0 / np.maximum(0.0, top), 0.0))
     return sel, resid_norms, m_actual, Rs, beta_q
 
 

@@ -3,7 +3,7 @@
 Each test prints one PASS/FAIL line. The heavy Monte-Carlo experiments are
 cached in tests/_acceptance_cache and resume incrementally, so re-runs only
 compute missing replications; delete that directory to force a clean run.
-Expect roughly 30-45 minutes on two cores for a cold cache.
+Expect roughly 5-7 minutes on two cores for a cold cache.
 """
 import math
 import time

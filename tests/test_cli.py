@@ -190,6 +190,22 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "simulate: --q must be >= 0, got -1\n"
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_bad_worker_env_rejected(self, tmp_path, capsys, monkeypatch, value):
+        from martingale_ci import harness
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("MARTINGALE_CI_WORKERS", value)
+        code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
+                     "--reps", "1", "--methods", "t", "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"simulate: MARTINGALE_CI_WORKERS must be a positive integer, got '{value}'\n")
+        assert not (tmp_path / "sim").exists()
+
 
 SCRIPT = "martingale-ci"
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

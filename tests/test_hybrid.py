@@ -204,7 +204,7 @@ class TestHybridOneSided:
         j = int(self.fit.j_hat[0])
         sentinel = np.full(self.rs.w_b.shape[0], -np.inf)
 
-        def starve(Y_batch, jj, theta):
+        def starve(Y_batch, jj, theta, paths=None):
             return sentinel.copy(), np.zeros(len(sentinel), dtype=bool), 0
 
         monkeypatch.setattr(self.engine, "statistics_batch", starve)
@@ -216,6 +216,116 @@ class TestHybridOneSided:
         sigma = float(self.fit.sigma[0])
         beta_j = float(self.fit.estimate.beta_tilde[0])
         assert rep.lower < beta_j - 10 * sigma
+
+
+def _per_theta_lower(engine, fit, j, rs, alpha):
+    """The one-sided bound with fresh paths at every theta.
+
+    One ``oga_path_batch`` and one ``statistics_batch`` call per theta the
+    bisection visits, as the bound ran before paths were reused between
+    bracket ends. Returns the bound, its flags and ``(theta, paths)`` of
+    every evaluation in order.
+    """
+    pos = fit.position(j)
+    beta_obs, sigma = float(fit.estimate.beta_tilde[pos]), float(fit.sigma[pos])
+    visits = []
+    flags = {"evaluations": 0, "empty_conditioning": 0,
+             "min_conditioned": np.inf, "failures": 0}
+
+    def u_upper(theta):
+        Y = _synthetic_batch(engine.X, rs, j, theta)
+        paths = oga_path_batch(engine.X, Y, engine.kn, engine.col_norms)
+        visits.append((theta, paths))
+        stats, selected, failures = engine.statistics_batch(Y, j, theta,
+                                                            paths=paths)
+        flags["evaluations"] += 1
+        flags["failures"] += failures
+        cond = stats[selected & np.isfinite(stats)]
+        flags["min_conditioned"] = min(flags["min_conditioned"], len(cond))
+        if len(cond) == 0:
+            flags["empty_conditioning"] += 1
+            return np.inf
+        return _order_statistic(cond, 1.0 - alpha)
+
+    lower, diag = invert_lower_bound(lambda theta: (beta_obs - theta) / sigma,
+                                     u_upper, beta_obs, sigma)
+    flags.update(converged=diag["converged"], start_capped=diag["start_capped"])
+    return lower, flags, visits
+
+
+class TestBracketReuse:
+    """Paths reused between bracket ends against recomputation at every theta."""
+
+    @pytest.mark.parametrize("setting", ["IID", "AR", "LAI"])
+    def test_bisection_matches_per_theta_recomputation(self, setting):
+        n, p, B, alpha = 200, 250, 50, 0.2
+        reused = evaluated = 0
+        for rep in range(7):
+            ds = generate(DgpConfig(setting=setting, n=n, p=p, seed=400 + rep),
+                          make_beta(p))
+            engine = StatisticEngine(ds.X, StatConfig(kmax=5, q=1, side=SIDE_ONE))
+            fit = engine.fit(ds.Y)
+            rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=B, seed=rep)
+            j = int(fit.j_hat[rep % len(fit.j_hat)])
+            lower, flags, fresh = _per_theta_lower(engine, fit, j, rs, alpha)
+
+            sweep = _PathSweep(engine, rs, j, float(fit.sigma[fit.position(j)]))
+            for theta, (want_sel, want_resid, want_m) in fresh:
+                sel, resid, m_actual = sweep.bracketed(theta)
+                assert np.array_equal(m_actual, want_m)
+                assert np.array_equal(sel, want_sel)
+                assert np.array_equal(hdbic(resid, n, p), hdbic(want_resid, n, p))
+
+            report = hybrid_ci_one_sided(engine, fit, j, rs, alpha)
+            assert report.lower.hex() == lower.hex()
+            diag = report.diagnostics
+            assert {key: diag[key] for key in flags} == flags
+            assert diag["paths"] + diag["paths_reused"] == diag["evaluations"] * B
+            reused += diag["paths_reused"]
+            evaluated += diag["evaluations"] * B
+        assert reused > 0.3 * evaluated
+
+    @staticmethod
+    def _orthogonal_sweep(y):
+        """A sweep on a 16x12 orthogonal +-1 design (path length 4) whose
+        one resample's response at theta is y + theta x_0."""
+        H = np.array([[1.0]])
+        while H.shape[0] < 16:
+            H = np.block([[H, H], [H, -H]])
+        X = H[:, 1:13]
+        rs = ResampleSet(j_hat=np.array([0]), beta_tilde=np.zeros(1),
+                         j_plus=np.array([0]), w_tilde=y(X), eps_hat=y(X),
+                         w_b=y(X)[None, :])
+        engine = StatisticEngine(X, StatConfig(kmax=1, q=0, side=SIDE_ONE))
+        assert engine.kn == 4
+        return engine, _PathSweep(engine, rs, 0, 1.0)
+
+    def test_sign_change_between_ends_recomputes(self):
+        # The paths at theta = -3 and 3 pick the same columns, but the first
+        # pick's sign differs, and at theta = 0 column 0 is not picked first.
+        noise = 0.1 * np.random.default_rng(23).standard_normal(16)
+        engine, sweep = self._orthogonal_sweep(
+            lambda X: X[:, 1:4] @ [2.0, 1.0, 0.5] + noise)
+        ends = [sweep.bracketed(theta)[0].tolist() for theta in (-3.0, 3.0)]
+        assert ends[0] == ends[1] == [[0, 1, 2, 3]]
+        sel, _, m_actual = sweep.bracketed(0.0)
+        y = sweep.rs.w_b.T
+        want_sel, _, want_m = oga_path_batch(engine.X, y, engine.kn)
+        assert sweep.paths == 3
+        assert sel.tolist() == want_sel.tolist() and sel[0, 0] != 0
+        assert m_actual.tolist() == want_m.tolist()
+
+    def test_residual_cancelling_between_ends_recomputes(self):
+        # The paths at theta = 0.75 and 1.25 pick columns 1-4 with the same
+        # signs; at theta = 1 the response lies in their span, so the last
+        # residual cancels and takes the n-space step, ending at 0.
+        engine, sweep = self._orthogonal_sweep(
+            lambda X: X[:, 1:5] @ [2.0, 1.5, 1.0, 0.5] - X[:, 0])
+        ends = [sweep.bracketed(theta)[0].tolist() for theta in (0.75, 1.25)]
+        assert ends[0] == ends[1] == [[1, 2, 3, 4]]
+        _, resid, _ = sweep.bracketed(1.0)
+        assert sweep.paths == 3
+        assert resid[0, -1] == 0.0 and hdbic(resid, 16, 12).tolist() == [4]
 
 
 def _per_theta_interval(engine, fit, j, rs, alpha):

@@ -272,7 +272,8 @@ class TestGramSpaceRescues:
 
 def _paths_along(X, Yb, kn, d):
     found = {}
-    sel, resid, m_act = oga_path_batch(X, Yb, kn, direction=d, intervals=found)
+    sel, resid, m_act = oga_path_batch(X, Yb, kn, direction=d, along=found,
+                                       bounds=True)
     return sel, resid, m_act, found
 
 
@@ -363,6 +364,76 @@ class TestDirectionInterval:
         assert found["lo"][0] == found["hi"][0] == 0.0
         assert found["lo"][1] < 0.0 < found["hi"][1]
 
+
+class TestPathBetweenEnds:
+    """A plain path that is the same at t1 < t2 along x_d holds between."""
+
+    def test_same_ends_hold_between(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for trial in range(6):
+            n, p, B = 60, 40, 16
+            F = rng.standard_normal((n, 2))
+            X = F @ rng.standard_normal((2, p)) + rng.standard_normal((n, p))
+            beta = np.zeros(p)
+            beta[:4] = [1.0, -0.8, 0.6, 0.4]
+            Yb = (X @ beta)[:, None] + rng.standard_normal((n, B))
+            kn, d = default_iterations(n, p), int(trial % 4)
+            t1, t2 = -0.05, 0.05
+            ends = [_plain_along(X, Yb + t * X[:, [d]], kn, d) for t in (t1, t2)]
+            (sel1, _, _, f1), (sel2, _, _, f2) = ends
+            same = (f1["exact"] & f2["exact"] & (sel1 == sel2).all(axis=1)
+                    & (f1["sign"] == f2["sign"]).all(axis=1))
+            for b in np.flatnonzero(same):
+                for t in rng.uniform(t1, t2, size=3):
+                    s_t, r_t, m_t = oga_path_batch(X, Yb[:, [b]] + t * X[:, [d]], kn)
+                    assert m_t[0] == kn and s_t[0].tolist() == sel1[b].tolist()
+                    u = t - t1
+                    rss = f1["rss"][b] + 2 * u * f1["c_d"][b] + u * u * f1["d_d"][b]
+                    assert np.allclose(np.sqrt(rss), r_t[0], rtol=1e-10, atol=0.0)
+                    checked += 1
+        assert checked >= 60
+
+    def test_sign_change_is_not_a_fixed_path(self):
+        # Orthogonal +-1 design, coefficient 3 + t on the direction column:
+        # the picks agree at t = -6 and t = 0 but the first pick's sign
+        # does not, and at t = -3 the column is not picked first.
+        H = np.array([[1.0]])
+        while H.shape[0] < 16:
+            H = np.block([[H, H], [H, -H]])
+        X = H[:, 1:13]
+        y = X[:, :4] @ [3.0, 2.0, 1.0, 0.5] \
+            + 0.1 * np.random.default_rng(22).standard_normal(16)
+        ends = [_plain_along(X, (y + t * X[:, 0])[:, None], 4, 0) for t in (-6.0, 0.0)]
+        (sel1, _, _, f1), (sel2, _, _, f2) = ends
+        assert f1["exact"][0] and f2["exact"][0]
+        assert sel1[0].tolist() == sel2[0].tolist() == [0, 1, 2, 3]
+        assert (f1["sign"][0] != f2["sign"][0]).tolist() == [True, False, False, False]
+        mid, _, _ = oga_path_batch(X, (y - 3.0 * X[:, 0])[:, None], 4)
+        assert mid[0, 0] != 0
+
+    @pytest.mark.parametrize("setting", ["IID", "LAI", "GARCH"])
+    def test_steps_agree_with_and_without_bounds(self, setting):
+        from martingale_ci.dgp import DgpConfig, generate, make_beta
+
+        ds = generate(DgpConfig(setting=setting, n=90, p=60, seed=8), make_beta(60))
+        Yb = ds.Y[:, None] + 0.5 * np.random.default_rng(9).standard_normal((90, 12))
+        kn, d = default_iterations(90, 60), int(oga(ds.X, ds.Y, 1).j_hat[0])
+        plain, bounded = _plain_along(ds.X, Yb, kn, d), _paths_along(ds.X, Yb, kn, d)
+        for got, want in zip(plain[:3], bounded[:3]):
+            assert np.array_equal(got, want, equal_nan=True)
+        for key in ("rss", "c_d", "d_d"):
+            assert np.allclose(plain[3][key], bounded[3][key], rtol=1e-12,
+                               atol=0.0, equal_nan=True)
+        for key in ("sign", "exact"):
+            assert np.array_equal(plain[3][key], bounded[3][key])
+        assert "hi" not in plain[3]
+
+
+def _plain_along(X, Yb, kn, d):
+    found = {}
+    sel, resid, m_act = oga_path_batch(X, Yb, kn, direction=d, along=found)
+    return sel, resid, m_act, found
 
 class TestSelectionScale:
     def test_selected_size_large_factor_design(self):
