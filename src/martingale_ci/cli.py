@@ -70,8 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dgp(args: argparse.Namespace) -> int:
-    cfg = DgpConfig(setting=args.setting, n=args.n, p=args.p, seed=args.seed)
-    ds = generate(cfg, make_beta(args.p))
+    try:
+        cfg = DgpConfig(setting=args.setting, n=args.n, p=args.p, seed=args.seed)
+        beta = make_beta(args.p)
+    except ValueError as exc:
+        print(f"dgp: {exc}", file=sys.stderr)
+        return 2
+    ds = generate(cfg, beta)
     sidecar = save_dataset(ds, args.out)
     print(f"wrote {args.out} and {sidecar}")
     return 0
@@ -108,7 +113,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         if args.method == "hr" and len(j_hat):
             rs = generate_w(ds, j_hat, engine.factors.F_hat, args.B,
                             np.random.SeedSequence(args.seed), kmax=args.kmax)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         print(f"ci: {exc}", file=sys.stderr)
         return 2
     sigma_ps = args.sigma

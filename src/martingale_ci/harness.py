@@ -89,7 +89,10 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         check_options(self.methods, self.side, self.alpha, self.B, self.kmax,
                       self.q)
-        _worker_count(self)  # a bad MARTINGALE_CI_WORKERS fails here
+        for n, p in self.sizes:
+            DgpConfig(setting=self.setting, n=n, p=p, seed=self.seed)
+            make_beta(p)
+        _worker_count(self)  # a bad worker count fails here
 
 
 @dataclass
@@ -261,19 +264,16 @@ def _append_records(path: Path, rows: list[dict], write_header: bool) -> None:
 def _worker_count(cfg: ExperimentConfig) -> int:
     """Pool size: ``MARTINGALE_CI_WORKERS`` if set, else ``cfg.workers``.
 
-    Raises ``ValueError`` when the variable is set but is not a positive
-    integer.
+    Raises ``ValueError`` when ``cfg.workers``, or the variable if set, is
+    not a positive integer.
     """
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if not env:
-        return max(1, cfg.workers)
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}")
-    return workers
+    sources = [("--workers", cfg.workers)]
+    if env := os.environ.get(WORKERS_ENV_VAR):
+        sources.append((WORKERS_ENV_VAR, env))
+    for name, value in sources:
+        if not str(value).isdecimal() or int(value) < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _pin_blas_threads() -> None:
@@ -326,7 +326,6 @@ def aggregate(records: list[dict], setting: str, n: int, p: int,
     interval_rows = [r for r in records if r["kind"] == "interval"]
     rep_rows = [r for r in records if r["kind"] == "rep"]
 
-    seen_pairs: set[tuple[int, int]] = set()
     group_pairs: dict[float, set[tuple[int, int]]] = {g: set() for g in SIGNAL_GROUPS}
     by_method_group: dict[str, dict[float, list[tuple[float, float]]]] = {
         m: {g: [] for g in SIGNAL_GROUPS} for m in methods
@@ -340,7 +339,6 @@ def aggregate(records: list[dict], setting: str, n: int, p: int,
         if method not in by_method_group:
             continue
         group = next((g for g in SIGNAL_GROUPS if math.isclose(bt, g)), None)
-        seen_pairs.add((rep, j))
         if group is None:
             continue
         group_pairs[group].add((rep, j))

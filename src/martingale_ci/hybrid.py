@@ -206,15 +206,15 @@ def _observed(engine: StatisticEngine, fit: PipelineFit, j: int,
 
 
 def _conditioned(engine: StatisticEngine, rs: ResampleSet, j: int,
-                 theta: float, diag: dict, **paths) -> np.ndarray:
+                 theta: float, diag: dict, paths: tuple) -> np.ndarray:
     """Resampled statistics at theta that enter the quantile.
 
     Those are the resamples that selected column j and did not fail;
-    ``diag`` counts the evaluation and its failures. ``paths`` is handed
-    on to ``statistics_batch``.
+    ``paths`` are the greedy paths of their synthetic responses at theta
+    and ``diag`` counts the evaluation and its failures.
     """
     stats, selected, failures = engine.statistics_batch(
-        _synthetic_batch(engine.X, rs, j, theta), j, theta, **paths
+        _synthetic_batch(engine.X, rs, j, theta), j, theta, paths
     )
     diag["evaluations"] += 1
     diag["failures"] += failures
@@ -290,8 +290,7 @@ def hybrid_ci_one_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
         return (beta_obs - theta) / sigma
 
     def u_upper(theta: float) -> float:
-        cond = _conditioned(engine, rs, j, theta, diag,
-                            paths=sweep.bracketed(theta))
+        cond = _conditioned(engine, rs, j, theta, diag, sweep.bracketed(theta))
         diag["min_conditioned"] = min(diag["min_conditioned"], len(cond))
         if len(cond) == 0:
             # No resample selected the column at this theta: there is no
@@ -313,11 +312,14 @@ class _PathSweep:
     Resample b's response at theta is a_b + theta x_j. Each computed path
     is a segment of ``seg``, anchored at the theta it was computed at;
     where it holds, its residual norms at t = theta - anchor are
-    sqrt(rss + 2 t C_d + t^2 D_d) (``oga_path_batch`` along column j). Two
-    rules say where a path holds:
+    sqrt(rss + 2 t C_d + t^2 D_d) (``oga_path_batch`` along column j).
+    Every evaluation reads its paths from ``bracketed``; ``grid`` only
+    fills the visits of a grid ahead of it. Two rules say where a path
+    holds:
 
-    - ``grid``/``at``: on the interval ``oga_path_batch`` bounds along x_j.
-    - ``bracketed``: between two evaluated thetas at which the resample's
+    - ``grid``: on [anchor, anchor + hi), the upper end ``oga_path_batch``
+      bounds along x_j.
+    - ``bracketed``: between two visited thetas at which the resample's
       paths are the same (same picks, same signs, all kn steps, no n-space
       step). Along a fixed path the normalized correlations move as
       a + t b. The pick J with sign s stays the argmax while every
@@ -326,8 +328,10 @@ class _PathSweep:
       on while s (a_J + t b_J) - RESIDUAL_TOL ||y + t x_j|| > 0, and this
       is concave in t. ``DEPENDENT_TOL`` and the n-space distance test
       depend on the design only. So the path holds everywhere in between,
-      with no per-step bound; only the rss rescue test, which depends on
-      theta, is checked again there.
+      with no per-step bound.
+
+    Neither rule covers the rss rescue test, which depends on theta: both
+    reuse a path only where ``_holds`` says the loop would not rescue it.
     """
 
     def __init__(self, engine: StatisticEngine, rs: ResampleSet, j: int,
@@ -363,78 +367,77 @@ class _PathSweep:
         """Resample paths computed so far."""
         return len(self.seg.get("theta", ()))
 
-    def _covers(self, segs: np.ndarray, theta: float) -> np.ndarray:
-        t = theta - self.seg["theta"][segs]
-        return (t == 0.0) | (t >= 0.0) & (t < self.seg["hi"][segs] - self.margin)
-
-    def _rss(self, theta: float, segs: np.ndarray) -> np.ndarray:
+    def _rss(self, theta: float | np.ndarray, segs: np.ndarray) -> np.ndarray:
         """Per-step residual sums of squares of segments ``segs`` at theta."""
         t = (theta - self.seg["theta"][segs])[:, None]
         return self.seg["rss"][segs] + 2.0 * t * self.seg["c_d"][segs] \
             + t * t * self.seg["d_d"][segs]
 
-    def _paths(self, theta: float, segs: np.ndarray) -> tuple[np.ndarray, ...]:
-        return self.seg["sel"][segs], np.sqrt(self._rss(theta, segs)), \
-            self.seg["m"][segs]
+    def _holds(self, theta: float | np.ndarray, segs: np.ndarray) -> np.ndarray:
+        """Whether no step of segments ``segs`` takes the rss rescue at theta.
 
-    def grid(self, thetas: np.ndarray) -> np.ndarray:
-        """Segment of each (grid point, resample), thetas increasing.
+        The loop recomputes an rss below RSS_RESCUE_TOL ||y(theta)||^2 in
+        n-space; ||y(theta)||^2 comes from ||y||^2 and x_j'y at the anchor.
+        """
+        t = theta - self.seg["theta"][segs]
+        yy = self.seg["yy"][segs] + 2.0 * t * self.seg["xy"][segs] \
+            + t * t * self.engine.col_norms[self.j] ** 2
+        return np.all(self._rss(theta, segs) >= RSS_RESCUE_TOL * yy[:, None],
+                      axis=1)
+
+    def grid(self, thetas: np.ndarray) -> None:
+        """Visit every point of a grid, thetas increasing.
 
         Each round computes, in one batch, every resample's path at its
-        first grid point not yet covered.
+        first grid point not yet visited. From its anchor on, the path
+        serves the grid points below its upper end up to the first where
+        it does not hold.
         """
-        seg_of = np.empty((len(thetas), self.rs.w_b.shape[0]), dtype=int)
-        nxt = np.zeros(seg_of.shape[1], dtype=int)
+        segs_at = np.empty((len(thetas), self.rs.w_b.shape[0]), dtype=int)
+        nxt = np.zeros(segs_at.shape[1], dtype=int)
         while (members := np.flatnonzero(nxt < len(thetas))).size:
             segs = self._compute(members, thetas[nxt[members]], bounds=True)
-            # From its anchor on, a segment covers a run of grid points.
-            covered = self._covers(segs[:, None], thetas)
-            seg_of[:, members] = np.where(covered.T, segs, seg_of[:, members])
-            nxt[members] += np.count_nonzero(covered, axis=1)
-        return seg_of
-
-    def at(self, theta: float, segs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(sel, resid_norms, m_actual)`` at theta from segments ``segs``,
-        recomputing the resamples whose segment does not cover theta."""
-        stale = np.flatnonzero(~self._covers(segs, theta))
-        if stale.size:
-            segs = segs.copy()
-            segs[stale] = self._compute(stale, np.full(stale.size, theta),
-                                        bounds=True)
-        return self._paths(theta, segs)
+            t = thetas - self.seg["theta"][segs][:, None]
+            ahead = t > 0.0
+            b, g = np.nonzero(ahead & (t < self.seg["hi"][segs][:, None] - self.margin))
+            serves = ~ahead
+            serves[b, g] = self._holds(thetas[g], segs[b])
+            serves = np.logical_and.accumulate(serves, axis=1) & (t >= 0.0)
+            segs_at[:, members] = np.where(serves.T, segs, segs_at[:, members])
+            nxt[members] += np.count_nonzero(serves, axis=1)
+        self.visits.update(zip(thetas.tolist(), segs_at))
 
     def bracketed(self, theta: float) -> tuple[np.ndarray, ...]:
         """``(sel, resid_norms, m_actual)`` at theta, in any order of thetas.
 
-        A resample whose paths at the nearest evaluated thetas below and
-        above are the same reuses the one anchored nearer theta; the
+        A visited theta returns its own segments. Otherwise a resample
+        whose paths at the nearest visited thetas below and above are the
+        same reuses the one anchored nearer theta where it holds; the
         others are recomputed in one batch.
         """
-        below = max((v for v in self.visits if v <= theta), default=None)
-        above = min((v for v in self.visits if v >= theta), default=None)
-        segs = np.full(self.rs.w_b.shape[0], -1)
-        if below is not None and above is not None:
-            s1, s2 = self.visits[below], self.visits[above]
-            seg = self.seg
-            same = (seg["exact"][s1] & seg["exact"][s2]
-                    & (seg["sel"][s1] == seg["sel"][s2]).all(axis=1)
-                    & (seg["sign"][s1] == seg["sign"][s2]).all(axis=1))
-            nearer = np.where(abs(theta - seg["theta"][s1])
-                              <= abs(theta - seg["theta"][s2]), s1, s2)
-            kept = nearer[same]
-            t = theta - seg["theta"][kept]
-            yy = seg["yy"][kept] + 2.0 * t * seg["xy"][kept] \
-                + t * t * self.engine.col_norms[self.j] ** 2
-            # The loop's own guard: an rss that cancels takes the n-space step.
-            holds = np.all(self._rss(theta, kept) >= RSS_RESCUE_TOL * yy[:, None],
-                           axis=1)
-            segs[np.flatnonzero(same)[holds]] = kept[holds]
-        stale = np.flatnonzero(segs < 0)
-        if stale.size:
-            segs[stale] = self._compute(stale, np.full(stale.size, theta),
-                                        bounds=False)
-        self.visits[theta] = segs
-        return self._paths(theta, segs)
+        if theta not in self.visits:
+            segs = np.full(self.rs.w_b.shape[0], -1)
+            below = max((v for v in self.visits if v < theta), default=None)
+            above = min((v for v in self.visits if v > theta), default=None)
+            if below is not None and above is not None:
+                s1, s2 = self.visits[below], self.visits[above]
+                seg = self.seg
+                same = (seg["exact"][s1] & seg["exact"][s2]
+                        & (seg["sel"][s1] == seg["sel"][s2]).all(axis=1)
+                        & (seg["sign"][s1] == seg["sign"][s2]).all(axis=1))
+                nearer = np.where(abs(theta - seg["theta"][s1])
+                                  <= abs(theta - seg["theta"][s2]), s1, s2)
+                kept = np.flatnonzero(same)
+                kept = kept[self._holds(theta, nearer[kept])]
+                segs[kept] = nearer[kept]
+            stale = np.flatnonzero(segs < 0)
+            if stale.size:
+                segs[stale] = self._compute(stale, np.full(stale.size, theta),
+                                            bounds=False)
+            self.visits[theta] = segs
+        segs = self.visits[theta]
+        rss = self._rss(theta, segs)
+        return self.seg["sel"][segs], np.sqrt(rss), self.seg["m"][segs]
 
 
 def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
@@ -455,9 +458,8 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     hi_fallback = float(norm.ppf(1.0 - 0.5 * alpha))
     diag = {"evaluations": 0, "fallbacks": 0, "failures": 0}
 
-    def accepted(theta: float, segs: np.ndarray) -> tuple[bool, float]:
-        cond = _conditioned(engine, rs, j, theta, diag,
-                            paths=sweep.at(theta, segs))
+    def accepted(theta: float) -> tuple[bool, float]:
+        cond = _conditioned(engine, rs, j, theta, diag, sweep.bracketed(theta))
         if len(cond) < MIN_CONDITIONED:
             diag["fallbacks"] += 1
             u_lo, u_hi = lo_fallback, hi_fallback
@@ -472,8 +474,8 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     half = GRID_HALF_WIDTH * sigma
     grid = np.linspace(beta_obs - half, beta_obs + half, GRID_POINTS)
     sweep = _PathSweep(engine, rs, j, sigma)
-    seg_of = sweep.grid(grid)
-    results = [accepted(theta, seg_of[g]) for g, theta in enumerate(grid)]
+    sweep.grid(grid)
+    results = [accepted(theta) for theta in grid]
     inside = np.array([r[0] for r in results])
     diag.update(clipped_low=bool(inside[0]), clipped_high=bool(inside[-1]))
 
@@ -492,12 +494,8 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     hi_idx = int(len(inside) - 1 - np.argmax(inside[::-1]))
     theta_l = float(grid[lo_idx])
     theta_u = float(grid[hi_idx])
-    if lo_idx > 0:
-        mid = 0.5 * (grid[lo_idx - 1] + theta_l)
-        if accepted(mid, seg_of[lo_idx - 1])[0]:
-            theta_l = float(mid)
-    if hi_idx < len(grid) - 1:
-        mid = 0.5 * (theta_u + grid[hi_idx + 1])
-        if accepted(mid, seg_of[hi_idx])[0]:
-            theta_u = float(mid)
+    if lo_idx > 0 and accepted(mid := 0.5 * (grid[lo_idx - 1] + theta_l))[0]:
+        theta_l = float(mid)
+    if hi_idx < len(grid) - 1 and accepted(mid := 0.5 * (theta_u + grid[hi_idx + 1]))[0]:
+        theta_u = float(mid)
     return done(theta_l, theta_u, False)

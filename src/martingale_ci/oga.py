@@ -23,11 +23,11 @@ C_d,k = x_d'U and D_d,k = x_d'(I-P_k)x_d (one scalar recurrence,
 D_d <- D_d - (q_k'x_d)^2), so the residual norms are
 sqrt(rss_k + 2 t C_d,k + t^2 D_d,k); the signs of the picks; and whether
 the path ran its full length with no n-space step. On request it also
-bounds the interval of t on which the path is the same. Along a fixed
-path the normalized correlations a = C/||x|| move as a + t b with
-b = D/||x||, D = X'(I-P_k)x_d, so the pick J (sign s) stays the argmax
-while (b_i - s b_J) t <= s a_J - a_i and (-b_i - s b_J) t <= s a_J + a_i
-for every candidate i. That carries the whole of D beside C.
+bounds how far t > 0 goes with the path the same. Along a fixed path the
+normalized correlations a = C/||x|| move as a + t b with b = D/||x||,
+D = X'(I-P_k)x_d, so the pick J (sign s) stays the argmax while
+(b_i - s b_J) t <= s a_J - a_i and (-b_i - s b_J) t <= s a_J + a_i for
+every candidate i. That carries the whole of D beside C.
 """
 from __future__ import annotations
 
@@ -171,7 +171,7 @@ def oga_path_batch(
     ``gram_cols`` (column index to x_j'X) is filled as columns are picked
     and may be shared by calls against the same X. With a ``direction``
     column d, ``along`` is filled with what each path says along x_d, and
-    with ``bounds`` also with the interval on which it holds (see
+    with ``bounds`` also with how far along it holds (see
     :func:`_greedy_paths`).
     """
     sel, resid_norms, m_actual, *_ = _greedy_paths(X, Y_batch, kn, col_norms,
@@ -202,10 +202,11 @@ def _greedy_paths(
     and D_d after each step (NaN padded), ``sign``, the signs of
     ``beta_q`` (0 padded), and the (B,) mask ``exact`` of paths that ran
     all kn steps with no n-space step. With ``bounds`` it also carries
-    D = X'(I-P_k)x_d beside C and adds (B,) arrays ``lo`` and ``hi``, the
-    t for which y + t x_d takes the same path and, by a conservative bound
-    on the stopping rule, does not stop early. A path that is not exact
-    or meets an exact tie gets ``lo = hi = 0``.
+    D = X'(I-P_k)x_d beside C and adds the (B,) array ``hi``: for
+    0 <= t < hi, y + t x_d takes the same path and, by a conservative bound
+    on the stopping rule, does not stop early. A path that is not exact,
+    or meets an exact tie that a candidate wins or keeps for t > 0, gets
+    ``hi = 0``.
     """
     X = np.asarray(X, dtype=float)
     Y_batch = np.asarray(Y_batch, dtype=float)
@@ -232,7 +233,7 @@ def _greedy_paths(
         exact = np.ones(B, dtype=bool)  # no n-space step
     if bounds:
         D = np.tile(X[:, direction] @ X, (B, 1))  # X'(I-P_k)x_d
-        top, bottom = np.zeros(B), np.zeros(B)  # 1/hi and 1/lo so far
+        top = np.zeros(B)  # 1/hi so far
         stop_slope = RESIDUAL_TOL * col_norms[direction]  # ||y+tx_d|| growth
 
     for k in range(kn):
@@ -252,10 +253,9 @@ def _greedy_paths(
         if direction is not None:
             exact &= r2sq >= 1e-6 * g_jj
         if bounds:
-            step_top, step_bottom = _pick_bounds(
+            top = np.maximum(top, _pick_bound(
                 C / safe_norms, D / safe_norms, rows, j_pick,
-                scores[rows, j_pick] - stop_tol, stop_slope)
-            top, bottom = np.maximum(top, step_top), np.minimum(bottom, step_bottom)
+                scores[rows, j_pick] - stop_tol, stop_slope))
         with np.errstate(divide="ignore", invalid="ignore"):  # stopped paths
             xq = (G_j - np.matmul(r1[:, None, :], XtQ[:, :k])[:, 0]) / r2[:, None]
             bq = C[rows, j_pick] / r2
@@ -303,34 +303,31 @@ def _greedy_paths(
         along.update(rss=rss_k, c_d=c_d, d_d=d_d, sign=np.sign(beta_q),
                      exact=exact)
     if bounds:
-        # An infinite ratio is an exact tie, a NaN one a tie that lasts
-        # along t; like a stop or an n-space step, both give [0, 0].
-        fixed = exact & np.isfinite(top + bottom)
+        # An infinite ratio is an exact tie a candidate wins for t > 0, a
+        # NaN one a tie that lasts along t; like a stop or an n-space step,
+        # both give hi = 0.
+        fixed = exact & np.isfinite(top)
         with np.errstate(divide="ignore"):
-            along.update(lo=np.where(fixed, -1.0 / np.maximum(0.0, -bottom), 0.0),
-                         hi=np.where(fixed, 1.0 / np.maximum(0.0, top), 0.0))
+            along.update(hi=np.where(fixed, 1.0 / np.maximum(0.0, top), 0.0))
     return sel, resid_norms, m_actual, Rs, beta_q
 
 
-def _pick_bounds(a, b, rows, j_pick, slack, stop_slope):
-    """Largest and smallest r/c over the constraints c t <= r that keep
-    this step's picks, per response; 1/hi and 1/lo of the step.
+def _pick_bound(a, b, rows, j_pick, slack, stop_slope):
+    """Largest c/r over the constraints c t <= r that keep this step's
+    picks, per response: 1/hi of the step.
 
     ``a``/``b`` are the normalized correlations and their slopes along the
     direction before the step (both overwritten), ``slack`` = s a_J -
-    stop_tol. Every r >= 0, so only c > 0 bounds t above and c < 0 below.
-    Selected and zero columns (a and b zero up to rounding) and the pick
-    (zeroed here) only give s a_J + t s b_J >= 0, which every candidate
-    already implies.
+    stop_tol. Every r >= 0, so only c > 0 bounds t above. Selected and
+    zero columns (a and b zero up to rounding) and the pick (zeroed here)
+    only give s a_J + t s b_J >= 0, which every candidate already implies.
     """
     sb = (np.sign(a[rows, j_pick]) * b[rows, j_pick])[:, None]
     s_a = np.abs(a[rows, j_pick])[:, None]
     a[rows, j_pick] = b[rows, j_pick] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         up = (b - sb) / (s_a - a)
-        down = (b + sb) / (-s_a - a)
-        # Not stopping: s a_J + t s b_J > stop_tol (1 + |t| ||x_d|| / ||y||).
+        down = (-b - sb) / (s_a + a)  # c / r, so a tie's r is +0
+        # Not stopping: s a_J + t s b_J > stop_tol (1 + t ||x_d|| / ||y||).
         stop_up = (stop_slope - sb[:, 0]) / slack
-        stop_down = (-stop_slope - sb[:, 0]) / slack
-    return (np.maximum(np.maximum(up.max(axis=1), down.max(axis=1)), stop_up),
-            np.minimum(np.minimum(up.min(axis=1), down.min(axis=1)), stop_down))
+    return np.maximum(np.maximum(up.max(axis=1), down.max(axis=1)), stop_up)

@@ -34,6 +34,18 @@ class TestDgpCommand:
                   "--seed", "9", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n, p, message", [
+        ("3", "12", "n must be >= 4"),
+        ("40", "5", "need p >= 10 to place 10 nonzero entries, got 5"),
+    ])
+    def test_bad_size_rejected(self, tmp_path, capsys, n, p, message):
+        out = tmp_path / "data.csv"
+        code = main(["dgp", "--setting", "IID", "--n", n, "--p", p,
+                     "--seed", "5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"dgp: {message}\n"
+        assert not out.exists()
+
 
 class TestCiCommand:
     @pytest.fixture()
@@ -123,6 +135,19 @@ class TestCiCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_hr_too_few_rows_rejected(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((6, 12))
+        data = tmp_path / "six.csv"
+        save_dataset(Dataset(X=X, Y=2.0 * X[:, 0] + 0.1 * rng.standard_normal(6)),
+                     data)
+        out = tmp_path / "ci_hr.csv"
+        code = main(["ci", "--in", str(data), "--method", "hr", "--kmax", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "ci: need n >= 8 to split, got 6\n"
+        assert not out.exists()
+
     def test_two_sided_t(self, dataset_csv, tmp_path):
         out = tmp_path / "ci_t2.csv"
         code = main(["ci", "--in", str(dataset_csv), "--method", "t",
@@ -190,20 +215,47 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "simulate: --q must be >= 0, got -1\n"
         assert not (tmp_path / "sim").exists()
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
-    def test_bad_worker_env_rejected(self, tmp_path, capsys, monkeypatch, value):
+    @pytest.fixture()
+    def no_pool(self, monkeypatch):
         from martingale_ci import harness
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+    def test_bad_worker_env_rejected(self, tmp_path, capsys, monkeypatch, no_pool,
+                                     value):
         monkeypatch.setenv("MARTINGALE_CI_WORKERS", value)
         code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
                      "--reps", "1", "--methods", "t", "--out", str(tmp_path / "sim")])
         assert code == 2
         assert capsys.readouterr().err == (
             f"simulate: MARTINGALE_CI_WORKERS must be a positive integer, got '{value}'\n")
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_bad_worker_flag_rejected(self, tmp_path, capsys, monkeypatch, no_pool,
+                                      value):
+        monkeypatch.delenv("MARTINGALE_CI_WORKERS", raising=False)
+        code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
+                     "--reps", "1", "--methods", "t", "--workers", value,
+                     "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"simulate: --workers must be a positive integer, got {value}\n")
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("sizes, message", [
+        (["--n", "60", "--p", "5"], "need p >= 10 to place 10 nonzero entries, got 5"),
+        (["--n", "60", "--p", "30", "--n", "3", "--p", "30"], "n must be >= 4"),
+    ])
+    def test_bad_size_rejected(self, tmp_path, capsys, no_pool, sizes, message):
+        code = main(["simulate", "--setting", "IID", *sizes, "--reps", "1",
+                     "--methods", "t", "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert capsys.readouterr().err == f"simulate: {message}\n"
         assert not (tmp_path / "sim").exists()
 
 

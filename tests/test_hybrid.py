@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -18,7 +20,7 @@ from martingale_ci.hybrid import (
     invert_lower_bound,
     test_statistic as eval_statistic,
 )
-from martingale_ci.inference import SIDE_ONE, SIDE_TWO, StatConfig
+from martingale_ci.inference import SIDE_ONE, SIDE_TWO, PipelineFit, StatConfig
 from martingale_ci.iv_estimator import CONDITION_LIMIT, SingularGramError
 from martingale_ci.oga import hdbic, oga_hdbic, oga_path_batch
 from martingale_ci.resampler import ResampleSet, generate_w
@@ -218,6 +220,14 @@ class TestHybridOneSided:
         assert rep.lower < beta_j - 10 * sigma
 
 
+def _orthogonal_design():
+    """A 16x12 design of orthogonal +-1 columns; its path length is 4."""
+    H = np.array([[1.0]])
+    while H.shape[0] < 16:
+        H = np.block([[H, H], [H, -H]])
+    return H[:, 1:13]
+
+
 def _per_theta_lower(engine, fit, j, rs, alpha):
     """The one-sided bound with fresh paths at every theta.
 
@@ -289,10 +299,7 @@ class TestBracketReuse:
     def _orthogonal_sweep(y):
         """A sweep on a 16x12 orthogonal +-1 design (path length 4) whose
         one resample's response at theta is y + theta x_0."""
-        H = np.array([[1.0]])
-        while H.shape[0] < 16:
-            H = np.block([[H, H], [H, -H]])
-        X = H[:, 1:13]
+        X = _orthogonal_design()
         rs = ResampleSet(j_hat=np.array([0]), beta_tilde=np.zeros(1),
                          j_plus=np.array([0]), w_tilde=y(X), eps_hat=y(X),
                          w_b=y(X)[None, :])
@@ -394,9 +401,9 @@ class TestGridSweep:
             sigma = float(fit.sigma[pos])
             grid = np.array(list(fresh)[:GRID_POINTS])
             sweep = _PathSweep(engine, rs, j, sigma)
-            seg_of = sweep.grid(grid)
-            for g, theta in enumerate(grid):
-                sel, resid, m_actual = sweep.at(theta, seg_of[g])
+            sweep.grid(grid)
+            for theta in grid:
+                sel, resid, m_actual = sweep.bracketed(theta)
                 want_sel, want_resid, want_m = fresh[theta]
                 assert np.array_equal(m_actual, want_m)
                 assert np.array_equal(sel, want_sel)
@@ -410,6 +417,39 @@ class TestGridSweep:
             assert diag["paths"] + diag["paths_reused"] == len(fresh) * B
             reused += diag["paths_reused"]
         assert reused > 0.5 * 7 * GRID_POINTS * B
+
+    def test_residual_cancelling_on_the_grid_recomputes(self, monkeypatch):
+        # Resample b's response at theta is X[:, 1:5] c_b + (theta - c0_b)
+        # x_0 with c0_b a grid point: there its last residual cancels and
+        # takes the n-space step. A path anchored at an earlier grid point
+        # still holds there, but its rss formula cancels too.
+        X, B = _orthogonal_design(), 20
+        grid = np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, GRID_POINTS)
+        rng = np.random.default_rng(24)
+        c = rng.uniform(0.5, 2.0, (B, 4)) * rng.choice([-1.0, 1.0], (B, 4))
+        c0 = grid[rng.integers(20, 61, B)]
+        W = c @ X[:, 1:5].T - c0[:, None] * X[:, 0]
+        rs = ResampleSet(j_hat=np.array([0]), beta_tilde=np.zeros(1),
+                         j_plus=np.array([0]), w_tilde=W[0], eps_hat=W[0], w_b=W)
+        engine = StatisticEngine(X, StatConfig(kmax=1, q=0, side=SIDE_TWO))
+        # An observed estimate 0 with standard error 1 puts the bound's grid
+        # at ``grid``.
+        fit = PipelineFit(selection=SimpleNamespace(j_hat=np.array([0])),
+                          estimate=SimpleNamespace(beta_tilde=np.zeros(1)),
+                          cov=None, sigma=np.ones(1))
+        seen, statistics_batch = [], engine.statistics_batch
+
+        def record(Y_batch, j, theta, paths=None):
+            seen.append((Y_batch, paths))
+            return statistics_batch(Y_batch, j, theta, paths)
+
+        monkeypatch.setattr(engine, "statistics_batch", record)
+        hybrid_ci_two_sided(engine, fit, 0, rs, 0.1)
+        assert len(seen) >= GRID_POINTS
+        for Y_batch, (sel, resid, _) in seen:
+            want_sel, want_resid, _ = oga_path_batch(X, Y_batch, engine.kn)
+            assert np.array_equal(sel, want_sel)
+            assert np.array_equal(hdbic(resid, 16, 12), hdbic(want_resid, 16, 12))
 
 
 class TestHybridTwoSided:

@@ -278,7 +278,7 @@ def _paths_along(X, Yb, kn, d):
 
 
 class TestDirectionInterval:
-    """The t-interval on which the path of y + t x_d stays the same."""
+    """How far along t >= 0 the path of y + t x_d stays the same."""
 
     @pytest.fixture(params=["IID", "LAI", "GARCH"])
     def design(self, request):
@@ -298,36 +298,41 @@ class TestDirectionInterval:
         assert np.array_equal(resid, plain[1], equal_nan=True)
 
     def test_path_and_residual_norms_hold_inside(self, design):
+        # The path of y - t x_d is that of -y + t x_d, so the ends found
+        # for -Yb check t below 0 as well.
         X, Yb, kn, d = design
-        sel, _, m_act, found = _paths_along(X, Yb, kn, d)
-        lo, hi = found["lo"], found["hi"]
-        assert np.all(lo <= 0.0) and np.all(hi >= 0.0)
-        assert np.count_nonzero(hi > 0.0) >= 9
-        margin = 1e-9
-        for b in np.flatnonzero(hi > 0.0):
-            ends = [np.clip(e, -10.0, 10.0) for e in (lo[b], hi[b])]
-            for t in (0.999 * ends[0] + margin, 0.5 * ends[0], 0.5 * ends[1],
-                      0.999 * ends[1] - margin):
-                y = Yb[:, [b]] + t * X[:, [d]]
-                s2, r2, m2 = oga_path_batch(X, y, kn)
-                assert m2[0] == m_act[b] == kn
-                assert s2[0].tolist() == sel[b].tolist()
-                rss = found["rss"][b] + 2 * t * found["c_d"][b] + t * t * found["d_d"][b]
-                assert np.allclose(np.sqrt(rss), r2[0], rtol=1e-10, atol=0.0)
+        for Y in (Yb, -Yb):
+            sel, _, m_act, found = _paths_along(X, Y, kn, d)
+            hi = found["hi"]
+            assert np.all(hi >= 0.0)
+            assert np.count_nonzero(hi > 0.0) >= 9
+            margin = 1e-9
+            for b in np.flatnonzero(hi > 0.0):
+                end = np.clip(hi[b], -10.0, 10.0)
+                for t in (0.5 * end, 0.999 * end - margin):
+                    y = Y[:, [b]] + t * X[:, [d]]
+                    s2, r2, m2 = oga_path_batch(X, y, kn)
+                    assert m2[0] == m_act[b] == kn
+                    assert s2[0].tolist() == sel[b].tolist()
+                    rss = found["rss"][b] + 2 * t * found["c_d"][b] \
+                        + t * t * found["d_d"][b]
+                    assert np.allclose(np.sqrt(rss), r2[0], rtol=1e-10, atol=0.0)
 
     def test_path_changes_just_past_the_ends(self, design):
         # Ends beyond 1e6 are rounding: once x_d is selected the path no
         # longer moves with t, and the stopping rule binds only near 1e13.
         # Every other end is a candidate overtaking a pick.
+        # The ends found for -Yb are the lower ends of Yb's paths.
         X, Yb, kn, d = design
-        sel, _, _, found = _paths_along(X, Yb, kn, d)
         checked = 0
-        for b in range(Yb.shape[1]):
-            for end in (found["lo"][b], found["hi"][b]):
+        for Y in (Yb, -Yb):
+            sel, _, _, found = _paths_along(X, Y, kn, d)
+            for b in range(Y.shape[1]):
+                end = found["hi"][b]
                 if end == 0.0 or not abs(end) < 1e6:
                     continue
-                t = end + np.sign(end) * 1e-6 * max(1.0, abs(end))
-                s2, _, _ = oga_path_batch(X, Yb[:, [b]] + t * X[:, [d]], kn)
+                t = end + 1e-6 * max(1.0, end)
+                s2, _, _ = oga_path_batch(X, Y[:, [b]] + t * X[:, [d]], kn)
                 assert s2[0].tolist() != sel[b].tolist()
                 checked += 1
         assert checked >= 9
@@ -346,8 +351,8 @@ class TestDirectionInterval:
         Yb = np.column_stack([exact, exact + 1e-5 * noise[:, 0], noise[:, 1]])
         _, _, m_act, found = _paths_along(X, Yb, 6, 2)
         assert m_act.tolist() == [2, 6, 6]
-        assert found["lo"][:2].tolist() == found["hi"][:2].tolist() == [0.0, 0.0]
-        assert found["lo"][2] < 0.0 < found["hi"][2]
+        assert found["hi"][:2].tolist() == [0.0, 0.0]
+        assert 0.0 < found["hi"][2]
         assert np.isnan(found["rss"][0, 2:]).all()
 
     def test_distance_rescue_gets_empty_interval(self):
@@ -361,8 +366,8 @@ class TestDirectionInterval:
         sel, _, m_act, found = _paths_along(X, Yb, 4, 1)
         assert sel[0, :2].tolist() == [4, 1] and 1 not in sel[1, :2]
         assert m_act.tolist() == [4, 4]
-        assert found["lo"][0] == found["hi"][0] == 0.0
-        assert found["lo"][1] < 0.0 < found["hi"][1]
+        assert found["hi"][0] == 0.0
+        assert 0.0 < found["hi"][1]
 
 
 class TestPathBetweenEnds:
