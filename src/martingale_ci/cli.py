@@ -103,8 +103,8 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"ci: {exc}", file=sys.stderr)
         return 2
-    ds = load_dataset(args.input)
     try:
+        ds = load_dataset(args.input)
         engine = StatisticEngine(ds.X, StatConfig(kmax=args.kmax, q=args.q,
                                                   side=args.side))
         fit = engine.fit(ds.Y)
@@ -113,7 +113,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         if args.method == "hr" and len(j_hat):
             rs = generate_w(ds, j_hat, engine.factors.F_hat, args.B,
                             np.random.SeedSequence(args.seed), kmax=args.kmax)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+    except (OSError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"ci: {exc}", file=sys.stderr)
         return 2
     sigma_ps = args.sigma

@@ -25,7 +25,8 @@ from .hybrid import (MIN_RESAMPLES, StatisticEngine, hybrid_ci_one_sided,
                      hybrid_ci_two_sided)
 from .inference import SIDE_ONE, PipelineFit, StatConfig, iv_interval, t_interval
 from .ps import InfeasibleTruncationError, ps_interval
-from .resampler import ResampleSet, combined_estimate, generate_w
+from .resampler import (MIN_SPLIT_LENGTH, ResampleSet, combined_estimate,
+                        generate_w)
 
 log = logging.getLogger(__name__)
 
@@ -92,6 +93,9 @@ class ExperimentConfig:
         for n, p in self.sizes:
             DgpConfig(setting=self.setting, n=n, p=p, seed=self.seed)
             make_beta(p)
+            # Every replication splits the sample for its amse (and hr).
+            if n < MIN_SPLIT_LENGTH:
+                raise ValueError(f"need n >= {MIN_SPLIT_LENGTH} to split, got {n}")
         _worker_count(self)  # a bad worker count fails here
 
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .factor_model import complement_projection, estimate_factors
 from .inference import (
@@ -454,8 +454,8 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     ``paths_reused`` the (resample, theta) evaluations that reused one.
     """
     beta_obs, sigma = _observed(engine, fit, j, rs, SIDE_TWO)
-    lo_fallback = float(norm.ppf(0.5 * (1.0 + alpha)))
-    hi_fallback = float(norm.ppf(1.0 - 0.5 * alpha))
+    lo_fallback = float(ndtri(0.5 * (1.0 + alpha)))
+    hi_fallback = float(ndtri(1.0 - 0.5 * alpha))
     diag = {"evaluations": 0, "fallbacks": 0, "failures": 0}
 
     def accepted(theta: float) -> tuple[bool, float]:

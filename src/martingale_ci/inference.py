@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
-from scipy.stats import norm, t as t_dist
+from scipy.special import log_ndtr, ndtr, ndtri, stdtrit
 
 from .iv_estimator import IvEstimate, solve_gram
 from .oga import SelectionResult
@@ -143,7 +142,7 @@ def t_interval(
     s = math.sqrt(rss / dof)
     pos = int(np.flatnonzero(j_hat == j)[0])
     c_jj = float(solve_gram(gram, np.eye(m)[:, pos])[pos])
-    half = t_dist.ppf(1.0 - alpha, dof) * s * math.sqrt(c_jj)
+    half = stdtrit(dof, 1.0 - alpha) * s * math.sqrt(c_jj)
     lower = beta[pos] - half
     upper = np.inf if side == SIDE_ONE else beta[pos] + half
     return IntervalReport(j=j, method="t", lower=float(lower), upper=float(upper),
@@ -161,7 +160,7 @@ def iv_interval(
     pos = int(np.flatnonzero(est.j == j)[0])
     n = est.x_tilde.shape[0]
     sigma = math.sqrt(cov.V[pos, pos] / n)
-    z = norm.ppf(1.0 - alpha)
+    z = ndtri(1.0 - alpha)
     lower = est.beta_tilde[pos] - z * sigma
     upper = np.inf if side == SIDE_ONE else est.beta_tilde[pos] + z * sigma
     return IntervalReport(j=j, method="iv", lower=float(lower), upper=float(upper),
@@ -177,7 +176,7 @@ def _log_phi_diff(lo: float, hi: float) -> float:
     elif lo >= 0.0:
         a, b = log_ndtr(-lo), log_ndtr(-hi)
     else:
-        val = norm.cdf(hi) - norm.cdf(lo)
+        val = ndtr(hi) - ndtr(lo)
         return math.log(val) if val > 0.0 else -np.inf
     # a >= b here; log(exp(a) - exp(b)) = a + log1p(-exp(b - a)).
     d = b - a

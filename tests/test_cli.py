@@ -13,6 +13,7 @@ import pytest
 import martingale_ci
 from martingale_ci.cli import main
 from martingale_ci.dgp import Dataset, load_dataset, save_dataset
+from martingale_ci.resampler import MIN_SPLIT_LENGTH
 
 
 class TestDgpCommand:
@@ -148,6 +149,23 @@ class TestCiCommand:
         assert capsys.readouterr().err == "ci: need n >= 8 to split, got 6\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "input.csv"),
+        ("y,x1,x2\n1,2,a\n3,4,5\n", "could not convert string 'a'"),
+        ("y,x1,x2\n1,2,3\n3,4,5\n1,1,1\n", "need n >= 4 rows"),
+    ])
+    def test_unreadable_input_rejected(self, tmp_path, capsys, content, message):
+        data = tmp_path / "input.csv"
+        if content is not None:
+            data.write_text(content)
+        out = tmp_path / "ci_t.csv"
+        code = main(["ci", "--in", str(data), "--method", "t", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ci: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_two_sided_t(self, dataset_csv, tmp_path):
         out = tmp_path / "ci_t2.csv"
         code = main(["ci", "--in", str(dataset_csv), "--method", "t",
@@ -256,6 +274,17 @@ class TestSimulateCommand:
                      "--methods", "t", "--out", str(tmp_path / "sim")])
         assert code == 2
         assert capsys.readouterr().err == f"simulate: {message}\n"
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("methods", ["t,hr", "t"])
+    def test_size_too_small_to_split_rejected(self, tmp_path, capsys, no_pool,
+                                              methods):
+        code = main(["simulate", "--setting", "IID", "--n", "6", "--p", "12",
+                     "--reps", "2", "--methods", methods, "--B", "20",
+                     "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"simulate: need n >= {MIN_SPLIT_LENGTH} to split, got 6\n")
         assert not (tmp_path / "sim").exists()
 
 

@@ -11,12 +11,13 @@ from martingale_ci.inference import (
     SIDE_ONE,
     SIDE_TWO,
     StatConfig,
+    _log_phi_diff,
     covariance,
     iv_interval,
     t_interval,
     truncnorm_sf,
 )
-from martingale_ci.iv_estimator import IvEstimate
+from martingale_ci.iv_estimator import IvEstimate, solve_gram
 
 
 def make_estimate(seed=0, n=40, m=3):
@@ -129,6 +130,50 @@ class TestBaselineIntervals:
         rep = iv_interval(est, cov, 1, alpha=0.1)
         assert np.isclose(rep.lower, est.beta_tilde[1] - 1.2816, atol=5e-5)
         assert rep.upper == np.inf
+
+
+ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.49)
+
+
+class TestQuantilesMatchScipyStats:
+    """The scipy.special calls give the scipy.stats values bit for bit."""
+
+    @pytest.mark.parametrize("side", [SIDE_ONE, SIDE_TWO])
+    @pytest.mark.parametrize("n, m", [(4, 3), (5, 3), (8, 3), (33, 3), (160, 4)])
+    def test_t_interval(self, n, m, side):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, m + 2))
+        Y = X[:, 0] - 0.5 * X[:, 1] + rng.standard_normal(n)
+        j_hat = np.arange(m)
+        X_J = X[:, j_hat]
+        gram = X_J.T @ X_J
+        beta = solve_gram(gram, X_J.T @ Y)
+        s = math.sqrt(float(np.sum((Y - X_J @ beta) ** 2)) / (n - m))
+        c_jj = float(solve_gram(gram, np.eye(m)[:, 1])[1])
+        for alpha in ALPHAS:
+            rep = t_interval(X, Y, j_hat, 1, alpha, side=side)
+            half = t_dist.ppf(1.0 - alpha, n - m) * s * math.sqrt(c_jj)
+            assert rep.lower == float(beta[1] - half)
+            assert rep.upper == (np.inf if side == SIDE_ONE
+                                 else float(beta[1] + half))
+
+    @pytest.mark.parametrize("side", [SIDE_ONE, SIDE_TWO])
+    def test_iv_interval(self, side):
+        n, m = 50, 3
+        est = make_estimate(9, n=n, m=m)
+        cov = covariance(est, q=1)
+        sigma = math.sqrt(cov.V[2, 2] / n)
+        for alpha in ALPHAS:
+            rep = iv_interval(est, cov, 2, alpha, side=side)
+            z = norm.ppf(1.0 - alpha)
+            assert rep.lower == float(est.beta_tilde[2] - z * sigma)
+            assert rep.upper == (np.inf if side == SIDE_ONE
+                                 else float(est.beta_tilde[2] + z * sigma))
+
+    def test_log_phi_diff_mixed_signs(self):
+        rng = np.random.default_rng(10)
+        for lo, hi in zip(-rng.exponential(2.0, 500), rng.exponential(2.0, 500)):
+            assert _log_phi_diff(lo, hi) == math.log(norm.cdf(hi) - norm.cdf(lo))
 
 
 class TestTruncnorm:
