@@ -19,11 +19,9 @@ from .factor_model import (
 )
 from .hybrid import (
     StatisticEngine,
-    fit_pipeline,
     hybrid_ci_one_sided,
     hybrid_ci_two_sided,
     invert_lower_bound,
-    test_statistic,
 )
 from .inference import (
     CovEstimate,

@@ -9,6 +9,14 @@ inverts that comparison by bisection, reusing a resample's greedy path
 between two evaluated thetas at which it is the same; the two-sided bound
 scans a grid, reusing each resample's greedy path over the theta-interval
 on which it provably holds.
+
+A resample's statistic depends on theta only through its selected set J.
+Its response is y_b(theta) = a_b + theta x_j and the projected design
+satisfies X~_J'x_j = X~_J'X~_J e_j for J holding j, so beta_j(theta) -
+theta, the residuals y_b - X_J beta(theta) and with them the sandwich
+variance do not move with theta. Each bound therefore estimates one
+statistic per (resample, J) and reuses it wherever that resample selects
+J again.
 """
 from __future__ import annotations
 
@@ -30,8 +38,8 @@ from .inference import (
     covariance,
 )
 from .iv_estimator import factor_gram
-from .oga import (RSS_RESCUE_TOL, default_iterations, hdbic, oga_hdbic,
-                  oga_path_batch)
+from .oga import (RSS_RESCUE_TOL, GramRows, default_iterations, hdbic,
+                  oga_hdbic, oga_path_batch)
 from .resampler import ResampleSet
 
 MIN_RESAMPLES = 20
@@ -60,9 +68,10 @@ class StatisticEngine:
     """Response-independent state for repeated statistic evaluation.
 
     Factor estimation, the factor-complement projection and the gram rows
-    x_j'X of the columns greedy paths pick (``gram_cols``, never the full
-    p x p gram) depend only on the design matrix, so they are computed once
-    and shared by every response evaluated against this design.
+    x_j'X of the columns greedy paths pick (``gram``, one buffer of those
+    rows, never the full p x p gram) depend only on the design matrix, so
+    they are computed once and shared by every response evaluated against
+    this design.
     """
 
     def __init__(self, X: np.ndarray, cfg: StatConfig):
@@ -73,7 +82,7 @@ class StatisticEngine:
         self.kn = default_iterations(self.n, self.p)
         self.factors = estimate_factors(self.X, min(cfg.kmax, self.n, self.p))
         self.x_tilde = complement_projection(self.factors.F_hat, self.X)
-        self.gram_cols: dict[int, np.ndarray] = {}
+        self.gram = GramRows(self.X)
 
     def estimate(self, J: np.ndarray, Y: np.ndarray) -> tuple[IvEstimate, CovEstimate]:
         """Projected-design estimate and sandwich covariance on the set J.
@@ -118,15 +127,12 @@ class StatisticEngine:
         """
         if paths is None:
             paths = oga_path_batch(self.X, Y_batch, self.kn, self.col_norms,
-                                   self.gram_cols)
-        sel, resid_norms, m_actual = paths
+                                   self.gram)
         out = np.full(Y_batch.shape[1], self.cfg.sentinel)
         selected = np.zeros(Y_batch.shape[1], dtype=bool)
         groups: dict[tuple, list[int]] = {}
-        m = hdbic(resid_norms, self.n, self.p)
-        picked_j = (sel == j) & (np.arange(sel.shape[1]) < m[:, None])
-        for b in np.flatnonzero(picked_j.any(axis=1)):
-            groups.setdefault(tuple(sel[b, :m[b]].tolist()), []).append(b)
+        for b, J in zip(*self.sets_holding(j, paths)):
+            groups.setdefault(J, []).append(b)
 
         failures = 0
         for J, members in groups.items():
@@ -143,26 +149,17 @@ class StatisticEngine:
             out[members] = np.abs(value) if self.cfg.side == SIDE_TWO else value
         return out, selected, failures
 
+    def sets_holding(self, j: int, paths: tuple) -> tuple[list[int], list[tuple]]:
+        """Responses whose HDBIC-truncated path holds column j, and those sets.
 
-def fit_pipeline(X: np.ndarray, Y: np.ndarray, cfg: StatConfig) -> PipelineFit:
-    """Selection, factor projection, estimate and variance for one response."""
-    return StatisticEngine(X, cfg).fit(Y)
-
-
-def test_statistic(
-    X: np.ndarray, Y: np.ndarray, j: int, theta: float, cfg: StatConfig
-) -> float:
-    """Standardized statistic for the hypothesis that coefficient j equals theta.
-
-    Selection is part of the statistic: when column j is not selected the
-    sentinel is returned (0 two-sided, -inf one-sided).
-    """
-    fit = fit_pipeline(X, Y, cfg)
-    pos = fit.position(j)
-    if pos is None:
-        return cfg.sentinel
-    value = (fit.estimate.beta_tilde[pos] - theta) / fit.sigma[pos]
-    return abs(value) if cfg.side == SIDE_TWO else value
+        ``paths`` are ``(sel, resid_norms, m_actual)`` as ``oga_path_batch``
+        returns them; each set is the ordered picks ``sel[b, :m]``.
+        """
+        sel, resid_norms, _ = paths
+        m = hdbic(resid_norms, self.n, self.p)
+        picked_j = (sel == j) & (np.arange(sel.shape[1]) < m[:, None])
+        members = np.flatnonzero(picked_j.any(axis=1)).tolist()
+        return members, [tuple(sel[b, :m[b]].tolist()) for b in members]
 
 
 def _order_statistic(values: np.ndarray, level: float) -> float:
@@ -205,20 +202,34 @@ def _observed(engine: StatisticEngine, fit: PipelineFit, j: int,
     return float(fit.estimate.beta_tilde[pos]), float(fit.sigma[pos])
 
 
-def _conditioned(engine: StatisticEngine, rs: ResampleSet, j: int,
-                 theta: float, diag: dict, paths: tuple) -> np.ndarray:
+def _conditioned(sweep: _PathSweep, theta: float, statistics: dict,
+                 diag: dict) -> np.ndarray:
     """Resampled statistics at theta that enter the quantile.
 
-    Those are the resamples that selected column j and did not fail;
-    ``paths`` are the greedy paths of their synthetic responses at theta
-    and ``diag`` counts the evaluation and its failures.
+    Those are the resamples whose HDBIC set J on their path at theta
+    (from ``sweep.bracketed``) holds column j, less those that failed. A
+    resample's statistic depends on theta only through J, so
+    ``statistics`` keeps one per (resample, J) and only new pairs are
+    estimated; a failed one is kept as NaN. ``diag`` counts the
+    evaluation, its failures, and the statistics estimated and reused.
     """
-    stats, selected, failures = engine.statistics_batch(
-        _synthetic_batch(engine.X, rs, j, theta), j, theta, paths
-    )
+    engine, j = sweep.engine, sweep.j
+    paths = sweep.bracketed(theta)
+    keys = list(zip(*engine.sets_holding(j, paths)))
+    new = [key not in statistics for key in keys]
+    if any(new):
+        fresh = [key for key, is_new in zip(keys, new) if is_new]
+        members = np.array([key[0] for key in fresh])
+        stats, _, _ = engine.statistics_batch(
+            _synthetic_batch(engine.X, sweep.rs, j, theta, members), j, theta,
+            tuple(path[members] for path in paths))
+        statistics.update(zip(fresh, stats))
+    values = np.array([statistics[key] for key in keys])
     diag["evaluations"] += 1
-    diag["failures"] += failures
-    return stats[selected & np.isfinite(stats)]
+    diag["failures"] += int(np.count_nonzero(np.isnan(values)))
+    diag["statistics"] += sum(new)
+    diag["statistics_reused"] += len(new) - sum(new)
+    return values[np.isfinite(values)]
 
 
 def invert_lower_bound(observed_stat, u_upper, start: float,
@@ -278,19 +289,22 @@ def hybrid_ci_one_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     Greedy paths come from a ``_PathSweep`` that reuses a resample's path
     between two evaluated thetas where it is the same: ``paths`` counts
     the resample paths computed and ``paths_reused`` the (resample, theta)
-    evaluations that reused one.
+    evaluations that reused one. Statistics are kept per (resample,
+    selected set) for the bound: ``statistics`` counts those estimated and
+    ``statistics_reused`` the conditioned evaluations that reused one.
     """
     beta_obs, sigma = _observed(engine, fit, j, rs, SIDE_ONE)
     level = 1.0 - alpha
     diag = {"evaluations": 0, "empty_conditioning": 0,
-            "min_conditioned": np.inf, "failures": 0}
-    sweep = _PathSweep(engine, rs, j, sigma)
+            "min_conditioned": np.inf, "failures": 0, "statistics": 0,
+            "statistics_reused": 0}
+    sweep, statistics = _PathSweep(engine, rs, j, sigma), {}
 
     def observed_stat(theta: float) -> float:
         return (beta_obs - theta) / sigma
 
     def u_upper(theta: float) -> float:
-        cond = _conditioned(engine, rs, j, theta, diag, sweep.bracketed(theta))
+        cond = _conditioned(sweep, theta, statistics, diag)
         diag["min_conditioned"] = min(diag["min_conditioned"], len(cond))
         if len(cond) == 0:
             # No resample selected the column at this theta: there is no
@@ -350,7 +364,7 @@ class _PathSweep:
         e = self.engine
         Y = _synthetic_batch(e.X, self.rs, self.j, thetas, members)
         found: dict = {}
-        sel, _, m_actual = oga_path_batch(e.X, Y, e.kn, e.col_norms, e.gram_cols,
+        sel, _, m_actual = oga_path_batch(e.X, Y, e.kn, e.col_norms, e.gram,
                                           direction=self.j, along=found,
                                           bounds=bounds)
         new = dict(theta=thetas, hi=found.get("hi", np.zeros(len(members))),
@@ -451,15 +465,19 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     midpoint refinement on each side; ``clipped_low``/``clipped_high`` flag
     an accepted grid end. Greedy paths come from a ``_PathSweep`` along the
     grid: ``paths`` counts the resample paths computed and
-    ``paths_reused`` the (resample, theta) evaluations that reused one.
+    ``paths_reused`` the (resample, theta) evaluations that reused one;
+    ``statistics`` and ``statistics_reused`` count as in
+    :func:`hybrid_ci_one_sided`.
     """
     beta_obs, sigma = _observed(engine, fit, j, rs, SIDE_TWO)
     lo_fallback = float(ndtri(0.5 * (1.0 + alpha)))
     hi_fallback = float(ndtri(1.0 - 0.5 * alpha))
-    diag = {"evaluations": 0, "fallbacks": 0, "failures": 0}
+    diag = {"evaluations": 0, "fallbacks": 0, "failures": 0, "statistics": 0,
+            "statistics_reused": 0}
+    statistics: dict = {}
 
     def accepted(theta: float) -> tuple[bool, float]:
-        cond = _conditioned(engine, rs, j, theta, diag, sweep.bracketed(theta))
+        cond = _conditioned(sweep, theta, statistics, diag)
         if len(cond) < MIN_CONDITIONED:
             diag["fallbacks"] += 1
             u_lo, u_hi = lo_fallback, hi_fallback

