@@ -160,10 +160,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     reports = run_experiment(cfg)
     for rep in reports:
-        print(f"{rep.setting} (n={rep.n}, p={rep.p}): reps={rep.reps} "
-              f"failed={rep.failed} amse={rep.amse:.4f} overall CR="
-              + ", ".join(f"{m}={rep.overall_cr[m]:.3f}" for m in rep.methods
-                          if not math.isnan(rep.overall_cr[m])))
+        line = (f"{rep.setting} (n={rep.n}, p={rep.p}): reps={rep.reps} "
+                f"failed={rep.failed} amse={rep.amse:.4f}")
+        if rep.methods:
+            line += " overall CR=" + ", ".join(
+                f"{m}={rep.overall_cr[m]:.3f}" for m in rep.methods
+                if not math.isnan(rep.overall_cr[m]))
+        print(line)
     return 0
 
 

@@ -20,7 +20,7 @@ class NumericInputError(ValueError):
     """Raised when an input matrix contains non-finite entries."""
 
 
-class DecompositionError(RuntimeError):
+class DecompositionError(np.linalg.LinAlgError):
     """Raised when the underlying eigensolver fails to converge."""
 
 

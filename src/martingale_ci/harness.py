@@ -24,6 +24,7 @@ from .dgp import Dataset, DgpConfig, generate, make_beta
 from .hybrid import (MIN_RESAMPLES, StatisticEngine, hybrid_ci_one_sided,
                      hybrid_ci_two_sided)
 from .inference import SIDE_ONE, PipelineFit, StatConfig, iv_interval, t_interval
+from .oga import oga_hdbic
 from .ps import InfeasibleTruncationError, ps_interval
 from .resampler import (MIN_SPLIT_LENGTH, ResampleSet, combined_estimate,
                         generate_w)
@@ -172,11 +173,16 @@ def run_replication(
 ) -> dict:
     """One full replication: dataset, selection, estimates, all intervals.
 
-    Failures of a single method for a single coefficient are recorded in
-    that row's flags; they never abort the replication. Any other exception
-    gives a replication with no intervals and no ``amse``, flagged
-    ``failed:<Exception>``; ``m`` is empty when the fit itself did not
-    finish. An invalid dataset configuration still raises.
+    With no ``methods`` the replication is estimation only: the HDBIC
+    selection (the one ``StatisticEngine.fit`` makes) and the cross-fitted
+    combined estimate behind ``amse``, with no ``StatisticEngine``, so no
+    full-sample factor model and no projected estimate, which nothing it
+    reports reads. Failures of a single method for a single coefficient
+    are recorded in that row's flags; they never abort the replication.
+    Any other exception gives a replication with no intervals and no
+    ``amse``, flagged ``failed:<Exception>``; ``m`` is empty when the
+    selection itself did not finish. An invalid dataset configuration
+    still raises.
     """
     beta = make_beta(p)
     cfg = DgpConfig(setting=setting, n=n, p=p,
@@ -185,9 +191,12 @@ def run_replication(
     out = {"rep": rep, "m": "", "amse": math.nan, "flags": "ok", "intervals": []}
     try:
         ds = generate(cfg, beta)
-        engine = StatisticEngine(ds.X, StatConfig(kmax=kmax, q=q, side=side))
-        fit = engine.fit(ds.Y)
-        j_hat = fit.selection.j_hat
+        if methods:
+            engine = StatisticEngine(ds.X, StatConfig(kmax=kmax, q=q, side=side))
+            fit = engine.fit(ds.Y)
+            j_hat = fit.selection.j_hat
+        else:
+            j_hat = oga_hdbic(ds.X, ds.Y).j_hat
         out["m"] = int(len(j_hat))
         if len(j_hat) == 0:
             out["flags"] = "degenerate"

@@ -78,6 +78,12 @@ class GramRows:
     (one row at a time for a single response), resized in place so that
     growing needs no second buffer beside it. One instance may serve every
     call against the same X.
+
+    ``take`` returns fancy-indexed copies and no view of ``buf`` outlives
+    a call, so the resize skips numpy's reference check. That check
+    refuses whenever anything else refers to ``buf``, and under a trace or
+    profile hook (cProfile, pdb, coverage.py) the interpreter itself does
+    while the call runs.
     """
 
     def __init__(self, X: np.ndarray):
@@ -94,7 +100,8 @@ class GramRows:
             missing = np.unique(picks[rows < 0])
             end = self.rows + missing.size
             if end > len(self.buf):
-                self.buf.resize((len(self.buf) + len(picks), self.buf.shape[1]))
+                self.buf.resize((len(self.buf) + len(picks), self.buf.shape[1]),
+                                refcheck=False)
             self.buf[self.rows:end] = self.X[:, missing].T @ self.X
             self.row_of[missing] = np.arange(self.rows, end)
             self.rows = end

@@ -2,6 +2,7 @@ import csv
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -136,6 +137,24 @@ class TestCiCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_factor_model_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        from martingale_ci import factor_model
+
+        data = tmp_path / "lai.csv"
+        main(["dgp", "--setting", "LAI", "--n", "60", "--p", "80",
+              "--seed", "2", "--out", str(data)])
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(factor_model, "eigh", broken)
+        out = tmp_path / "ci_t.csv"
+        code = main(["ci", "--in", str(data), "--method", "t", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "ci: eigendecomposition of the Gram matrix failed\n")
+        assert not out.exists()
+
     def test_hr_too_few_rows_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((6, 12))
@@ -198,10 +217,21 @@ class TestSimulateCommand:
                      "--methods", "t,iv", "--seed", "4", "--workers", "1",
                      "--out", str(out)])
         assert code == 0
-        assert "reps=2 failed=0 amse=" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "reps=2 failed=0 amse=" in printed
+        assert " overall CR=t=" in printed
         assert (out / "coverage_IID_n60_p30.csv").exists()
         assert (out / "amse_IID.csv").exists()
         assert (out / "records_IID_n60_p30.csv").exists()
+
+    def test_estimation_only_summary(self, tmp_path, capsys):
+        code = main(["simulate", "--setting", "LAI", "--n", "60", "--p", "80",
+                     "--reps", "3", "--methods", "", "--workers", "1",
+                     "--out", str(tmp_path / "sim")])
+        assert code == 0
+        line, = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"LAI \(n=60, p=80\): reps=3 failed=0 amse=\d\.\d{4}",
+                            line), line
 
     def test_mismatched_sizes_rejected(self, tmp_path):
         code = main(["simulate", "--setting", "IID", "--n", "60", "--n", "80",

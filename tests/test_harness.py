@@ -140,6 +140,58 @@ class TestRunReplication:
     def test_seed_derivation_differs_by_rep(self):
         assert derive_dataset_seed(3, 0) != derive_dataset_seed(3, 1)
 
+    def test_factor_model_failure_becomes_a_flag(self, monkeypatch):
+        from martingale_ci import factor_model
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(factor_model, "eigh", broken)
+        for methods in (("t",), ()):
+            res = run_replication("LAI", 60, 80, 0, 0, 20, 0.2, 5, 1, methods,
+                                  "one")
+            assert res["flags"] == "failed:DecompositionError"
+            assert math.isnan(res["amse"]) and res["intervals"] == []
+
+    def test_runs_under_a_profiler(self):
+        # Per-layer timings are read from cProfile runs; profiling must not
+        # change or break a replication.
+        import cProfile
+
+        cell = ("LAI", 60, 80, 0, 0, 20, 0.2, 5, 1, ("t", "iv", "ps", "hr"),
+                "one")
+        plain = run_replication(*cell)
+        profiler = cProfile.Profile()
+        profiled = profiler.runcall(run_replication, *cell)
+        assert profiled["flags"] == "ok"
+        assert {row[2] for row in profiled["intervals"]} == {"t", "iv", "ps", "hr"}
+        assert repr(profiled) == repr(plain)
+
+
+class TestEstimationOnly:
+    """A replication with no methods: selection and the cross-fit only."""
+
+    def test_builds_no_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an estimation-only replication built an engine")
+
+        monkeypatch.setattr(harness, "StatisticEngine", refuse)
+        for rep in range(3):
+            res = run_replication("LAI", 60, 80, 0, rep, 20, 0.2, 5, 1, (),
+                                  "one")
+            assert res["flags"] == "ok" and res["intervals"] == []
+            assert res["m"] >= 1 and math.isfinite(res["amse"])
+
+    @pytest.mark.parametrize("setting", ["IID", "LAI", "GARCH"])
+    def test_matches_a_run_with_intervals(self, setting):
+        for rep in range(3):
+            alone = run_replication(setting, 60, 80, 0, rep, 20, 0.2, 5, 1, (),
+                                    "one")
+            with_t = run_replication(setting, 60, 80, 0, rep, 20, 0.2, 5, 1,
+                                     ("t",), "one")
+            for key in ("m", "amse", "flags"):
+                assert alone[key] == with_t[key], (rep, key)
+
 
 class TestAggregate:
     def test_all_infinite_lower_bounds_cover(self):

@@ -19,6 +19,8 @@ for out in (run_replication(**cell, alpha=0.2, methods=("t", "iv", "ps", "hr")),
             run_replication(**cell, alpha=0.1, methods=("hr",), side="two")):
     assert out["flags"] == "ok", out["flags"]
     assert "hr" in {method for _, _, method, *_ in out["intervals"]}
+alone = run_replication(**cell, alpha=0.2, methods=())
+assert alone["flags"] == "ok" and alone["intervals"] == [], alone
 print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
 """
 

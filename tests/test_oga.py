@@ -526,6 +526,42 @@ class TestGramRows:
         assert len(made[0].buf) == made[0].rows == kn
         assert set(np.flatnonzero(made[0].row_of >= 0).tolist()) == set(sel.j_hat.tolist())
 
+    @pytest.mark.parametrize("hook", ["setprofile", "settrace"])
+    def test_growth_under_a_trace_or_profile_hook(self, hook):
+        # cProfile, pdb and coverage.py install such hooks; the buffer must
+        # still grow in place, and give the same bits as without one.
+        import sys
+
+        X, batches, kn, d = self._batches("LAI")
+
+        def run():
+            gram, out = GramRows(X), [oga(X, batches[2][:, 0], kn)]
+            for Yb in batches:
+                along = {}
+                out.append(oga_path_batch(X, Yb, kn, None, gram, direction=d,
+                                          along=along, bounds=True))
+                out.append(along)
+            return out, gram.rows
+
+        plain, plain_rows = run()
+        install, previous = getattr(sys, hook), getattr(sys, "get" + hook[3:])()
+        install(lambda *args: None)
+        try:
+            hooked, hooked_rows = run()
+        finally:
+            install(previous)
+        assert hooked_rows == plain_rows
+        first, want = hooked[0], plain[0]
+        for key in ("j_hat", "R", "beta_q", "residual_norms"):
+            assert np.array_equal(getattr(first, key), getattr(want, key)), key
+        for got, want in zip(hooked[1::2], plain[1::2]):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b, equal_nan=True)
+        for got, want in zip(hooked[2::2], plain[2::2]):
+            assert got.keys() == want.keys()
+            for key in want:
+                assert np.array_equal(got[key], want[key], equal_nan=True), key
+
 
 class TestSelectionScale:
     def test_selected_size_large_factor_design(self):
