@@ -33,7 +33,7 @@ from .inference import (
     t_interval,
     truncnorm_sf,
 )
-from .iv_estimator import IvEstimate, SingularGramError, iv_estimate
+from .iv_estimator import IvEstimate, SingularGramError, fit_selected, iv_estimate
 from .oga import (
     SelectionResult,
     default_iterations,

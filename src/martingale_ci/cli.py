@@ -99,7 +99,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
     args.alpha = _default_alpha(args)
     try:
         check_options((args.method,), args.side, args.alpha, args.B, args.kmax,
-                      args.q, args.sigma)
+                      args.q, args.seed, args.sigma)
     except ValueError as exc:
         print(f"ci: {exc}", file=sys.stderr)
         return 2

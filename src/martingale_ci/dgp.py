@@ -76,6 +76,8 @@ class DgpConfig:
             raise InvalidConfigError("AR setting needs p >= 2 (column 1 is the lag)")
         if self.n < 4:
             raise InvalidConfigError("n must be >= 4")
+        if self.seed < 0:
+            raise InvalidConfigError(f"--seed must be >= 0, got {self.seed}")
 
 
 @dataclass

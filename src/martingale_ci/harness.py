@@ -23,7 +23,8 @@ import numpy as np
 from .dgp import Dataset, DgpConfig, generate, make_beta
 from .hybrid import (MIN_RESAMPLES, StatisticEngine, hybrid_ci_one_sided,
                      hybrid_ci_two_sided)
-from .inference import SIDE_ONE, PipelineFit, StatConfig, iv_interval, t_interval
+from .inference import (SIDE_ONE, SIDE_TWO, PipelineFit, StatConfig, iv_interval,
+                        t_interval)
 from .oga import oga_hdbic
 from .ps import InfeasibleTruncationError, ps_interval
 from .resampler import (MIN_SPLIT_LENGTH, ResampleSet, combined_estimate,
@@ -45,7 +46,8 @@ RECORD_COLUMNS = ("kind", "rep", "j", "beta_true", "method", "lb", "ub", "m",
 
 
 def check_options(methods: tuple[str, ...], side: str, alpha: float, B: int,
-                  kmax: int, q: int, ps_sigma: float | None = None) -> None:
+                  kmax: int, q: int, seed: int,
+                  ps_sigma: float | None = None) -> None:
     """Raise ``ValueError`` naming the first option the methods cannot run with.
 
     The rules ``ci`` and ``simulate`` share, in the command-line flags'
@@ -55,6 +57,13 @@ def check_options(methods: tuple[str, ...], side: str, alpha: float, B: int,
     bad = set(methods) - set(METHODS)
     if bad:
         raise ValueError(f"unknown methods: {sorted(bad)}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"repeated methods: {repeated}")
+    if side not in (SIDE_ONE, SIDE_TWO):
+        raise ValueError(f"--side must be {SIDE_ONE!r} or {SIDE_TWO!r}, got {side!r}")
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"--alpha must be in (0, 0.5), got {alpha}")
     if kmax < 1:
@@ -90,7 +99,7 @@ class ExperimentConfig:
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         check_options(self.methods, self.side, self.alpha, self.B, self.kmax,
-                      self.q)
+                      self.q, self.seed)
         for n, p in self.sizes:
             DgpConfig(setting=self.setting, n=n, p=p, seed=self.seed)
             make_beta(p)

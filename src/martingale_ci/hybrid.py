@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.special import ndtri
 
 from .factor_model import complement_projection, estimate_factors
@@ -37,7 +36,7 @@ from .inference import (
     StatConfig,
     covariance,
 )
-from .iv_estimator import factor_gram
+from .iv_estimator import fit_selected
 from .oga import (RSS_RESCUE_TOL, GramRows, default_iterations, hdbic,
                   oga_hdbic, oga_path_batch)
 from .resampler import ResampleSet
@@ -87,22 +86,13 @@ class StatisticEngine:
     def estimate(self, J: np.ndarray, Y: np.ndarray) -> tuple[IvEstimate, CovEstimate]:
         """Projected-design estimate and sandwich covariance on the set J.
 
-        The one path for observed and synthetic responses alike. ``Y`` is
-        one response (n,) or a block (n, b) of responses that share J; one
-        guarded factorization of the projected gram (``factor_gram``,
-        ``SingularGramError`` otherwise) gives both the coefficients and
-        the bread, and a block gives coefficients (m, b) and V (b, m, m).
+        The one path for observed and synthetic responses alike: the one
+        guarded fit, ``iv_estimator.fit_selected``, on the projected columns
+        and then :func:`covariance`. ``Y`` is one response (n,) or a block
+        (n, b) that shares J, giving coefficients (m, b) and V (b, m, m).
         """
-        xt = self.x_tilde[:, J]
-        gram = xt.T @ xt
-        beta, inv_gram = np.zeros((0,) + Y.shape[1:]), None
-        if len(J):
-            factor = factor_gram(gram)
-            beta = cho_solve(factor, xt.T @ Y, check_finite=False)
-            inv_gram = cho_solve(factor, np.eye(len(J)), check_finite=False)
-        est = IvEstimate(j=J, beta_tilde=beta, x_tilde=xt, gram=gram,
-                         residuals=Y - self.X[:, J] @ beta)
-        return est, covariance(est, self.cfg.q, inv_gram)
+        est = fit_selected(J, self.x_tilde[:, J], self.X[:, J], Y)
+        return est, covariance(est, self.cfg.q)
 
     def fit(self, Y: np.ndarray) -> PipelineFit:
         """Selection, projected estimate, and sandwich variance for one response."""

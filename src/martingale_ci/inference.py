@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, stdtrit
 
-from .iv_estimator import IvEstimate, solve_gram
+from .iv_estimator import IvEstimate, fit_selected
 from .oga import SelectionResult
 
 SIDE_ONE = "one"
@@ -77,23 +77,16 @@ def hac_meat(G: np.ndarray, q: int) -> np.ndarray:
     return S
 
 
-def covariance(est: IvEstimate, q: int = 1,
-               inv_gram: np.ndarray | None = None) -> CovEstimate:
+def covariance(est: IvEstimate, q: int = 1) -> CovEstimate:
     """HAC sandwich covariance of the projected-design estimator.
 
     The meat is :func:`hac_meat` of g_t = w_t x~_t up to lag q, the bread
-    the inverse projected gram (``inv_gram`` if given, else guarded by
-    ``solve_gram``). Residuals (n, b) of b responses give V (b, m, m).
+    the inverse projected gram ``est.inv_gram`` that the one guarded fit,
+    ``iv_estimator.fit_selected``, returns. Residuals (n, b) of b responses
+    give V (b, m, m).
     """
-    x_tilde = est.x_tilde
-    n, m = x_tilde.shape
-    if m == 0:
-        empty = np.zeros((0, 0))
-        return CovEstimate(V=empty, S=empty, q=q)
-    S = hac_meat(x_tilde * est.residuals.T[..., None], q)
-    if inv_gram is None:
-        inv_gram = solve_gram(est.gram, np.eye(m))
-    V = n * inv_gram @ S @ inv_gram
+    S = hac_meat(est.x_tilde * est.residuals.T[..., None], q)
+    V = len(est.x_tilde) * est.inv_gram @ S @ est.inv_gram
     V = 0.5 * (V + np.swapaxes(V, -1, -2))
     return CovEstimate(V=V, S=S, q=q)
 
@@ -135,16 +128,15 @@ def t_interval(
     if m >= n:
         raise ValueError("need |J| < n for the t interval")
     X_J = X[:, j_hat]
-    gram = X_J.T @ X_J
-    beta = solve_gram(gram, X_J.T @ Y)
-    rss = float(np.sum((Y - X_J @ beta) ** 2))
+    est = fit_selected(j_hat, X_J, X_J, Y)
+    rss = float(np.sum(est.residuals ** 2))
     dof = n - m
     s = math.sqrt(rss / dof)
     pos = int(np.flatnonzero(j_hat == j)[0])
-    c_jj = float(solve_gram(gram, np.eye(m)[:, pos])[pos])
+    c_jj = float(est.inv_gram[pos, pos])
     half = stdtrit(dof, 1.0 - alpha) * s * math.sqrt(c_jj)
-    lower = beta[pos] - half
-    upper = np.inf if side == SIDE_ONE else beta[pos] + half
+    lower = est.beta_tilde[pos] - half
+    upper = np.inf if side == SIDE_ONE else est.beta_tilde[pos] + half
     return IntervalReport(j=j, method="t", lower=float(lower), upper=float(upper),
                           alpha=alpha)
 

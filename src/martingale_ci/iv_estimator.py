@@ -4,6 +4,9 @@ The selected columns are projected onto the orthogonal complement of the
 estimated factors, the coefficients solve the normal equations of the
 projected design, and the residuals are taken against the *unprojected*
 columns (they keep the factor component, which the resampler needs).
+:func:`fit_selected` is the one guarded least-squares fit behind every
+selected-set estimate: ``StatisticEngine.estimate``, the cross-fit
+(:func:`iv_estimate`), ``t_interval`` and ``ps_interval``.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ class IvEstimate:
     j: np.ndarray
     beta_tilde: np.ndarray
     x_tilde: np.ndarray
-    gram: np.ndarray
+    inv_gram: np.ndarray  # (x_tilde'x_tilde)^-1, the sandwich's bread
     residuals: np.ndarray
 
 
@@ -60,17 +63,28 @@ def iv_estimate(
     k = 0 if F_hat is None else np.asarray(F_hat).shape[1]
     if len(J) > n - k:
         raise ValueError(f"|J|={len(J)} exceeds n - k = {n - k}")
-    if len(J) == 0:
-        return IvEstimate(j=J, beta_tilde=np.zeros(0), x_tilde=np.zeros((n, 0)),
-                          gram=np.zeros((0, 0)), residuals=Y.copy())
-
     X_J = X[:, J]
-    x_tilde = complement_projection(F_hat, X_J)
-    gram = x_tilde.T @ x_tilde
-    beta = solve_gram(gram, x_tilde.T @ Y)
-    residuals = Y - X_J @ beta
-    return IvEstimate(j=J, beta_tilde=beta, x_tilde=x_tilde, gram=gram,
-                      residuals=residuals)
+    return fit_selected(J, complement_projection(F_hat, X_J), X_J, Y)
+
+
+def fit_selected(J: np.ndarray, x_tilde: np.ndarray, X_J: np.ndarray,
+                 Y: np.ndarray) -> IvEstimate:
+    """Least squares of Y on the projected columns x_tilde of the set J.
+
+    One guarded factorization of x_tilde'x_tilde (:func:`factor_gram`,
+    ``SingularGramError`` otherwise) gives the coefficients and the inverse
+    gram; the residuals are Y - X_J beta. ``Y`` is one response (n,) or a
+    block (n, b) of responses, giving coefficients (m,) or (m, b). An
+    empty set gives empty coefficients and residuals equal to Y.
+    """
+    m = x_tilde.shape[1]
+    beta, inv_gram = np.zeros((0,) + Y.shape[1:]), np.zeros((0, 0))
+    if m:
+        factor = factor_gram(x_tilde.T @ x_tilde)
+        beta = cho_solve(factor, x_tilde.T @ Y, check_finite=False)
+        inv_gram = cho_solve(factor, np.eye(m), check_finite=False)
+    return IvEstimate(j=J, beta_tilde=beta, x_tilde=x_tilde, inv_gram=inv_gram,
+                      residuals=Y - X_J @ beta)
 
 
 def factor_gram(gram: np.ndarray) -> tuple:
@@ -85,8 +99,3 @@ def factor_gram(gram: np.ndarray) -> tuple:
     if not condition <= CONDITION_LIMIT:  # also catches NaN
         raise SingularGramError(condition)
     return cho_factor(gram, lower=False, check_finite=False)
-
-
-def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve gram @ beta = rhs through :func:`factor_gram`."""
-    return cho_solve(factor_gram(gram), rhs, check_finite=False)

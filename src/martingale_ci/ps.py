@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inference import IntervalReport, truncnorm_sf
-from .iv_estimator import solve_gram
+from .iv_estimator import fit_selected
 from .oga import SelectionResult
 
 # |F(delta) - alpha| tolerance for the mean-parameter bisection.
@@ -178,10 +178,7 @@ def ps_interval(
     pos = int(pos_hits[0])
 
     X_J = X[:, j_hat]
-    gram = X_J.T @ X_J
-    e = np.zeros(len(j_hat))
-    e[pos] = 1.0
-    eta = X_J @ solve_gram(gram, e)
+    eta = X_J @ fit_selected(j_hat, X_J, X_J, Y).inv_gram[:, pos]
     obs = float(eta @ Y)
 
     poly = SelectionPolytope.from_selection(X, sel)

@@ -48,6 +48,14 @@ class TestDgpCommand:
         assert capsys.readouterr().err == f"dgp: {message}\n"
         assert not out.exists()
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        code = main(["dgp", "--setting", "IID", "--n", "40", "--p", "12",
+                     "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "dgp: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestCiCommand:
     @pytest.fixture()
@@ -113,6 +121,7 @@ class TestCiCommand:
         ("iv", ["--alpha", "0"], "--alpha must be in (0, 0.5), got 0.0"),
         ("iv", ["--q", "-1"], "--q must be >= 0, got -1"),
         ("iv", ["--kmax", "0"], "--kmax must be >= 1, got 0"),
+        ("hr", ["--seed", "-1"], "--seed must be >= 0, got -1"),
     ])
     def test_invalid_option_rejected(self, dataset_csv, tmp_path, capsys,
                                      method, option, message):
@@ -271,6 +280,19 @@ class TestSimulateCommand:
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+
+    @pytest.mark.parametrize("option, message", [
+        (["--methods", "t,t"], "repeated methods: ['t']"),
+        (["--methods", "t,iv,hr,iv,t"], "repeated methods: ['iv', 't']"),
+        (["--methods", "t", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ])
+    def test_invalid_option_rejected(self, tmp_path, capsys, no_pool, option,
+                                     message):
+        code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
+                     "--reps", "1", *option, "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert capsys.readouterr().err == f"simulate: {message}\n"
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
     def test_bad_worker_env_rejected(self, tmp_path, capsys, monkeypatch, no_pool,

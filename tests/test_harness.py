@@ -483,6 +483,11 @@ class TestTwoSidedHarness:
                              methods=("ps",), side="two",
                              out_dir=tmp_path, workers=1)
 
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="--side must be 'one' or 'two'"):
+            ExperimentConfig(setting="IID", sizes=((60, 80),), reps=1,
+                             methods=("t", "hr"), side="both", B=20)
+
     def test_hr_needs_min_resamples(self, tmp_path):
         import pytest as _pytest
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 from scipy.stats import norm, t as t_dist
 
 from _oracles import fit_pipeline, test_statistic as eval_statistic
@@ -17,16 +18,16 @@ from martingale_ci.inference import (
     t_interval,
     truncnorm_sf,
 )
-from martingale_ci.iv_estimator import IvEstimate, solve_gram
+from martingale_ci.iv_estimator import IvEstimate, factor_gram
 
 
 def make_estimate(seed=0, n=40, m=3):
     rng = np.random.default_rng(seed)
     x_tilde = rng.standard_normal((n, m))
     resid = rng.standard_normal(n)
+    inv_gram = cho_solve(factor_gram(x_tilde.T @ x_tilde), np.eye(m))
     return IvEstimate(j=np.arange(m), beta_tilde=rng.standard_normal(m),
-                      x_tilde=x_tilde, gram=x_tilde.T @ x_tilde,
-                      residuals=resid)
+                      x_tilde=x_tilde, inv_gram=inv_gram, residuals=resid)
 
 
 class TestCovariance:
@@ -35,7 +36,7 @@ class TestCovariance:
         est = make_estimate()
         a = covariance(est, q=0)
         S = est.x_tilde.T @ (est.x_tilde * est.residuals[:, None] ** 2)
-        bread = np.linalg.inv(est.gram)
+        bread = np.linalg.inv(est.x_tilde.T @ est.x_tilde)
         expect = len(est.residuals) * bread @ S @ bread
         assert np.max(np.abs(a.V - expect)) < 1e-10
 
@@ -53,7 +54,9 @@ class TestCovariance:
         resid = np.arange(1.0, n + 1.0)
         ones = np.ones((n, 1))
         est = IvEstimate(j=np.array([0]), beta_tilde=np.array([1.0]),
-                         x_tilde=ones, gram=ones.T @ ones, residuals=resid)
+                         x_tilde=ones,
+                         inv_gram=cho_solve(factor_gram(ones.T @ ones), np.eye(1)),
+                         residuals=resid)
         cov = covariance(est, q=0)
         assert np.isclose(cov.V[0, 0], n * np.sum(resid**2) / n**2)
 
@@ -146,10 +149,10 @@ class TestQuantilesMatchScipyStats:
         Y = X[:, 0] - 0.5 * X[:, 1] + rng.standard_normal(n)
         j_hat = np.arange(m)
         X_J = X[:, j_hat]
-        gram = X_J.T @ X_J
-        beta = solve_gram(gram, X_J.T @ Y)
+        factor = factor_gram(X_J.T @ X_J)
+        beta = cho_solve(factor, X_J.T @ Y)
         s = math.sqrt(float(np.sum((Y - X_J @ beta) ** 2)) / (n - m))
-        c_jj = float(solve_gram(gram, np.eye(m)[:, 1])[1])
+        c_jj = float(cho_solve(factor, np.eye(m)[:, 1])[1])
         for alpha in ALPHAS:
             rep = t_interval(X, Y, j_hat, 1, alpha, side=side)
             half = t_dist.ppf(1.0 - alpha, n - m) * s * math.sqrt(c_jj)

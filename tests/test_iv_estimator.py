@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
+from martingale_ci import iv_estimator
+from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.factor_model import estimate_factors
+from martingale_ci.harness import interval
+from martingale_ci.hybrid import StatisticEngine
+from martingale_ci.inference import StatConfig, t_interval
 from martingale_ci.iv_estimator import (
     SingularGramError,
+    factor_gram,
     iv_estimate,
-    solve_gram,
 )
+from martingale_ci.ps import ps_interval
 
 
 def orthogonal_factor_instance(seed, n=60, m=4, k=2):
@@ -104,18 +111,20 @@ class TestIvEstimate:
 
 
 class TestSolveGram:
+    """Gram systems solved through the guarded factorization."""
+
     def test_solves_well_conditioned(self):
         rng = np.random.default_rng(10)
         A = rng.standard_normal((6, 6))
         gram = A.T @ A + 6 * np.eye(6)
         rhs = rng.standard_normal(6)
-        x = solve_gram(gram, rhs)
+        x = cho_solve(factor_gram(gram), rhs)
         assert np.allclose(gram @ x, rhs, atol=1e-9)
 
     def test_condition_guard(self):
         gram = np.diag([1.0, 1e-14])
         with pytest.raises(SingularGramError):
-            solve_gram(gram, np.ones(2))
+            factor_gram(gram)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gram_rejected(self, bad):
@@ -125,4 +134,43 @@ class TestSolveGram:
             gram = np.diag([2.0, 3.0])
             gram[where] = gram[where[::-1]] = bad
             with pytest.raises(SingularGramError):
-                solve_gram(gram, np.ones(2))
+                factor_gram(gram)
+
+
+class TestOneGuard:
+    """Every selected-set fit goes through ``iv_estimator.factor_gram``."""
+
+    @pytest.fixture()
+    def refused(self, monkeypatch):
+        """An observed fit, after which the guard refuses every gram."""
+        ds = generate(DgpConfig(setting="IID", n=80, p=30, seed=1), make_beta(30))
+        engine = StatisticEngine(ds.X, StatConfig())
+        fit = engine.fit(ds.Y)
+        assert len(fit.j_hat)
+
+        def refuse(gram):
+            raise SingularGramError(np.inf)
+
+        monkeypatch.setattr(iv_estimator, "factor_gram", refuse)
+        return ds, engine, fit
+
+    def test_every_fit_raises(self, refused):
+        ds, engine, fit = refused
+        j = int(fit.j_hat[0])
+        fits = [
+            lambda: engine.fit(ds.Y),
+            lambda: iv_estimate(ds.X, ds.Y, fit.j_hat, engine.factors.F_hat),
+            lambda: t_interval(ds.X, ds.Y, fit.j_hat, j, 0.2),
+            lambda: ps_interval(ds.X, ds.Y, fit.selection, j, 0.2, 1.0),
+        ]
+        for call in fits:
+            with pytest.raises(SingularGramError):
+                call()
+
+    @pytest.mark.parametrize("method", ["t", "ps"])
+    def test_interval_flags_the_failure(self, refused, method):
+        ds, engine, fit = refused
+        lb, ub, flags = interval(method, int(fit.j_hat[0]), ds, engine, fit,
+                                 0.2, ps_sigma=1.0)
+        assert (np.isnan(lb), ub, flags) == (True, np.inf,
+                                             "failed:SingularGramError")
