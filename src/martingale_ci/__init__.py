@@ -2,7 +2,6 @@
 
 from .block_bootstrap import BlockPlan, double_block_bootstrap
 from .dgp import (
-    CoefVector,
     Dataset,
     DgpConfig,
     InvalidConfigError,
@@ -24,7 +23,6 @@ from .hybrid import (
     invert_lower_bound,
 )
 from .inference import (
-    CovEstimate,
     IntervalReport,
     StatConfig,
     covariance,
@@ -48,7 +46,7 @@ from .resampler import (
     combine_beta,
     combined_estimate,
     generate_w,
-    split,
+    halves,
 )
 
 __version__ = "0.1.0"

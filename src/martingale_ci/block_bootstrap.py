@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MIN_LENGTH = 8  # below this the block geometry degenerates; fall back to iid
+MIN_LENGTH = 8  # below this the block geometry degenerates
 
 
 def _int_cuberoot(n: int) -> int:
@@ -30,7 +30,9 @@ class BlockPlan:
     First level: ``a`` draws from the ``n_prime`` overlapping length-``l``
     blocks (indices past the series end wrap circularly). Second level:
     ``c`` draws from the ``l_prime`` overlapping length-``k`` sub-blocks of
-    each first-level segment.
+    each first-level segment. Raises ``ValueError`` for n < 8, where the
+    geometry degenerates; the resampled series are full samples, and the
+    split before them already needs n >= 8.
     """
 
     n: int
@@ -40,13 +42,11 @@ class BlockPlan:
     k: int
     l_prime: int
     c: int
-    iid_fallback: bool = False
 
     @classmethod
     def for_length(cls, n: int) -> "BlockPlan":
         if n < MIN_LENGTH:
-            return cls(n=n, l=1, n_prime=n, a=n, k=1, l_prime=1, c=n,
-                       iid_fallback=True)
+            raise ValueError(f"need n >= {MIN_LENGTH} to block-resample, got {n}")
         l = _int_cuberoot(n)
         k = l // 2
         return cls(n=n, l=l, n_prime=n + l - 1, a=n // l, k=k,
@@ -59,14 +59,11 @@ def double_block_bootstrap(
     """Resample a series through two levels of overlapping blocks.
 
     Always returns a series of length n whose values are members of the
-    input. For n < 8 the resample is plain iid-with-replacement (the plan's
-    ``iid_fallback`` records this).
+    input; raises ``ValueError`` for n < 8 (see :class:`BlockPlan`).
     """
     eps = np.asarray(eps, dtype=float)
     n = eps.shape[0]
     plan = BlockPlan.for_length(n)
-    if plan.iid_fallback:
-        return eps[rng.integers(0, n, size=n)]
 
     # First level: a blocks of length l from the n' circularly wrapped
     # overlapping blocks, pasted end to end.

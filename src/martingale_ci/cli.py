@@ -25,6 +25,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The interval options that ``ci`` and ``simulate`` share.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--alpha", type=float, default=None,
+                        help="tail mass; default 0.2 one-sided, 0.1 two-sided "
+                             "(80%% nominal either way)")
+    shared.add_argument("--side", choices=(SIDE_ONE, SIDE_TWO), default=SIDE_ONE)
+    shared.add_argument("--q", type=int, default=1, help="HAC lag truncation")
+    shared.add_argument("--B", type=int, default=50, help="number of resamples")
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--kmax", type=int, default=5,
+                        help="maximum number of factors scored")
+
     p_dgp = sub.add_parser("dgp", help="generate a synthetic dataset as CSV")
     p_dgp.add_argument("--setting", required=True, choices=SETTINGS)
     p_dgp.add_argument("--n", type=int, required=True)
@@ -32,37 +44,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dgp.add_argument("--seed", type=int, required=True)
     p_dgp.add_argument("--out", type=Path, required=True)
 
-    p_ci = sub.add_parser("ci", help="confidence bounds for selected coefficients")
+    p_ci = sub.add_parser("ci", parents=[shared],
+                          help="confidence bounds for selected coefficients")
     p_ci.add_argument("--in", dest="input", type=Path, required=True,
                       help="dataset CSV with header y,x1,...,xp")
-    p_ci.add_argument("--alpha", type=float, default=None,
-                      help="tail mass; default 0.2 one-sided, 0.1 two-sided "
-                           "(80%% nominal either way)")
     p_ci.add_argument("--method", required=True, choices=METHODS)
-    p_ci.add_argument("--side", choices=(SIDE_ONE, SIDE_TWO), default=SIDE_ONE)
-    p_ci.add_argument("--q", type=int, default=1, help="HAC lag truncation")
-    p_ci.add_argument("--B", type=int, default=50, help="number of resamples")
-    p_ci.add_argument("--seed", type=int, default=0)
-    p_ci.add_argument("--kmax", type=int, default=5,
-                      help="maximum number of factors scored")
     p_ci.add_argument("--sigma", type=float, default=None,
                       help="noise sd for the ps method (estimated if omitted)")
     p_ci.add_argument("--out", type=Path, required=True)
 
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo coverage experiment")
+    p_sim = sub.add_parser("simulate", parents=[shared],
+                           help="Monte-Carlo coverage experiment")
     p_sim.add_argument("--setting", required=True, choices=SETTINGS)
     p_sim.add_argument("--n", type=int, required=True, action="append",
                        help="sample size (repeat with --p for several cells)")
     p_sim.add_argument("--p", type=int, required=True, action="append")
     p_sim.add_argument("--reps", type=int, required=True)
-    p_sim.add_argument("--B", type=int, default=50)
-    p_sim.add_argument("--alpha", type=float, default=None,
-                       help="tail mass; default 0.2 one-sided, 0.1 two-sided")
     p_sim.add_argument("--methods", default="t,iv,ps,hr")
-    p_sim.add_argument("--side", choices=(SIDE_ONE, SIDE_TWO), default=SIDE_ONE)
-    p_sim.add_argument("--q", type=int, default=1)
-    p_sim.add_argument("--kmax", type=int, default=5)
-    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--workers", type=int, default=1,
                        help=f"worker processes (env MARTINGALE_CI_WORKERS overrides)")
     p_sim.add_argument("--out", type=Path, required=True)

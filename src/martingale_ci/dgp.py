@@ -41,22 +41,6 @@ class InvalidConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class CoefVector:
-    """A sparse coefficient vector with its nonzero support."""
-
-    values: np.ndarray
-    support: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "support", np.asarray(self.support, dtype=int))
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class DgpConfig:
     """Configuration for one synthetic dataset."""
 
@@ -84,13 +68,14 @@ class DgpConfig:
 class Dataset:
     """A design matrix, response, and optional generation ground truth.
 
+    ``truth`` is the coefficient vector the data were generated with;
     ``noise`` keeps the realized error sequence when the dataset was
     simulated; it is None for datasets loaded from disk.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    truth: CoefVector | None = None
+    truth: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
     noise: np.ndarray | None = None
 
@@ -113,7 +98,7 @@ class Dataset:
         return self.X.shape[1]
 
 
-def make_beta(p: int) -> CoefVector:
+def make_beta(p: int) -> np.ndarray:
     """Canonical sparse coefficient vector used in all simulation settings.
 
     First 10 entries (1-based): 0.6, 0.6, 0.4, 0.2, 0.2, 0.2, 0.1, 0.1,
@@ -126,7 +111,7 @@ def make_beta(p: int) -> CoefVector:
     values[2] = 0.4
     values[3:6] = 0.2
     values[6:10] = 0.1
-    return CoefVector(values=values, support=np.arange(10))
+    return values
 
 
 def _garch_errors(rng: np.random.Generator, total: int) -> np.ndarray:
@@ -162,15 +147,15 @@ def _factor_loaded_design(
     return f[:, None] * (1.0 + np.abs(a))[None, :] + e
 
 
-def generate(cfg: DgpConfig, beta: CoefVector) -> Dataset:
+def generate(cfg: DgpConfig, beta: np.ndarray) -> Dataset:
     """Draw one dataset from the configured setting.
 
     The random draw order within each setting is fixed, so a given
     (config, beta) pair always produces the same dataset.
     """
-    if beta.p != cfg.p:
+    if len(beta) != cfg.p:
         raise InvalidConfigError(
-            f"beta has length {beta.p} but config requests p={cfg.p}"
+            f"beta has length {len(beta)} but config requests p={cfg.p}"
         )
     rng = np.random.default_rng(cfg.seed)
     n, p, burn = cfg.n, cfg.p, BURN_IN
@@ -180,11 +165,11 @@ def generate(cfg: DgpConfig, beta: CoefVector) -> Dataset:
         e = rng.standard_normal((n, p))
         X = f[:, None] + e
         eps = rng.standard_normal(n)
-        Y = X @ beta.values + eps
+        Y = X @ beta + eps
     elif cfg.setting == "IID":
         X = np.sqrt(2.0) * rng.standard_normal((n, p))
         eps = rng.standard_normal(n)
-        Y = X @ beta.values + eps
+        Y = X @ beta + eps
     elif cfg.setting == "MVN":
         # sqrt(1-rho) Z + sqrt(rho) g 1^T has covariance (1-rho) I + rho J.
         z = rng.standard_normal((n, p))
@@ -192,23 +177,23 @@ def generate(cfg: DgpConfig, beta: CoefVector) -> Dataset:
         rho = MVN_OFF_DIAGONAL
         X = np.sqrt(1.0 - rho) * z + np.sqrt(rho) * g[:, None]
         eps = rng.standard_normal(n)
-        Y = X @ beta.values + eps
+        Y = X @ beta + eps
     elif cfg.setting == "GARCH":
         total = n + burn
         X_full = _factor_loaded_design(rng, total, p)
         eps_full = _garch_errors(rng, total)
         X = X_full[burn:]
         eps = eps_full[burn:]
-        Y = X @ beta.values + eps
+        Y = X @ beta + eps
     elif cfg.setting == "AR":
         total = n + burn
         x_rest = _factor_loaded_design(rng, total, p - 1)
         eps_full = rng.standard_normal(total)
-        drive = x_rest @ beta.values[1:] + eps_full
+        drive = x_rest @ beta[1:] + eps_full
         y = np.empty(total)
         prev = 0.0
         for t in range(total):
-            prev = beta.values[0] * prev + drive[t]
+            prev = beta[0] * prev + drive[t]
             y[t] = prev
         X = np.empty((n, p))
         X[:, 0] = y[burn - 1 : total - 1]
@@ -239,7 +224,7 @@ def save_dataset(ds: Dataset, path: str | Path) -> Path:
     np.savetxt(path, table, delimiter=",", header=header, comments="", fmt="%.17g")
     meta = dict(ds.meta)
     if ds.truth is not None:
-        meta["beta"] = ds.truth.values.tolist()
+        meta["beta"] = ds.truth.tolist()
     sidecar = _meta_path(path)
     sidecar.write_text(json.dumps(meta, indent=2))
     return sidecar
@@ -257,6 +242,5 @@ def load_dataset(path: str | Path) -> Dataset:
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
         if "beta" in meta:
-            values = np.asarray(meta.pop("beta"), dtype=float)
-            truth = CoefVector(values=values, support=np.flatnonzero(values))
+            truth = np.asarray(meta.pop("beta"), dtype=float)
     return Dataset(X=X, Y=Y, truth=truth, meta=meta)

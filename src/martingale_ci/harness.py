@@ -27,15 +27,14 @@ from .inference import (SIDE_ONE, SIDE_TWO, PipelineFit, StatConfig, iv_interval
                         t_interval)
 from .oga import oga_hdbic
 from .ps import InfeasibleTruncationError, ps_interval
-from .resampler import (MIN_SPLIT_LENGTH, ResampleSet, combined_estimate,
-                        generate_w)
+from .resampler import ResampleSet, combined_estimate, generate_w, halves
 
 log = logging.getLogger(__name__)
 
 WORKERS_ENV_VAR = "MARTINGALE_CI_WORKERS"
 SIGNAL_GROUPS = (0.6, 0.4, 0.2, 0.1)
 # Nonzero-count per signal strength in the canonical coefficient vector.
-GROUP_SIZES = {0.6: 2, 0.4: 1, 0.2: 3, 0.1: 4}
+GROUP_SIZES = {g: int(np.count_nonzero(make_beta(10) == g)) for g in SIGNAL_GROUPS}
 # Known error scale for the post-selection baseline: unit-variance noise
 # everywhere except the GARCH setting, whose stationary sd is 0.5.
 PS_SIGMA = {"LAI": 1.0, "GARCH": 0.5, "AR": 1.0, "IID": 1.0, "MVN": 1.0}
@@ -103,9 +102,7 @@ class ExperimentConfig:
         for n, p in self.sizes:
             DgpConfig(setting=self.setting, n=n, p=p, seed=self.seed)
             make_beta(p)
-            # Every replication splits the sample for its amse (and hr).
-            if n < MIN_SPLIT_LENGTH:
-                raise ValueError(f"need n >= {MIN_SPLIT_LENGTH} to split, got {n}")
+            halves(n)  # every replication splits the sample for its amse (and hr)
         _worker_count(self)  # a bad worker count fails here
 
 
@@ -149,7 +146,7 @@ def interval(method: str, j: int, ds: Dataset, engine: StatisticEngine,
         if method == "t":
             rep = t_interval(ds.X, ds.Y, fit.j_hat, j, alpha, side)
         elif method == "iv":
-            rep = iv_interval(fit.estimate, fit.cov, j, alpha, side)
+            rep = iv_interval(fit, j, alpha, side)
         elif method == "ps":
             rep = ps_interval(ds.X, ds.Y, fit.selection, j, alpha, ps_sigma)
         elif method != "hr":
@@ -216,7 +213,7 @@ def run_replication(
               if "hr" in methods else None)
         beta_comb = (combined_estimate(ds, j_hat, kmax=kmax)[0] if rs is None
                      else rs.beta_tilde)
-        err = beta_comb - beta.values[j_hat]
+        err = beta_comb - beta[j_hat]
         out["amse"] = float(np.sqrt(np.mean(err**2)))
         if not np.any(beta_comb != 0.0):
             out["flags"] = "degenerate"
@@ -226,7 +223,7 @@ def run_replication(
             for method in methods:
                 lb, ub, flags = interval(method, j, ds, engine, fit, alpha, rs,
                                          PS_SIGMA[setting])
-                out["intervals"].append((j, float(beta.values[j]), method, lb,
+                out["intervals"].append((j, float(beta[j]), method, lb,
                                          ub, flags))
     except Exception as exc:
         # One replication is the unit of failure: the cell keeps running.
@@ -259,10 +256,26 @@ def _records_from_result(result: dict) -> list[dict]:
 
 
 def load_records(path: Path) -> list[dict]:
+    """Rows of the replications the store at ``path`` holds in full.
+
+    A run stopped mid-append can leave a last line without its line end,
+    and interval rows after the last ``rep`` row (each replication's rows
+    end with it). Both are dropped, and the store is cut back to the rows
+    kept, so a rerun appends that replication once.
+    """
     if not path.exists():
         return []
     with path.open(newline="") as fh:
-        return list(csv.DictReader(fh))
+        lines = fh.readlines()
+    whole = lines if lines and lines[-1].endswith("\n") else lines[:-1]
+    rows = list(csv.DictReader(whole))
+    done = max((i + 1 for i, row in enumerate(rows) if row["kind"] == "rep"),
+               default=0)
+    kept = whole[:done + 1]  # the header and the rows up to the last rep row
+    if len(kept) < len(lines):
+        with path.open("w", newline="") as fh:
+            fh.writelines(kept)
+    return rows[:done]
 
 
 def completed_reps(records: list[dict]) -> set[int]:
@@ -311,7 +324,8 @@ def ensure_records(cfg: ExperimentConfig, n: int, p: int, path: Path) -> list[di
 
     Each replication's rows are appended as soon as it finishes, in index
     order, so an interrupted run keeps every replication it completed and
-    a rerun computes only the rest. Returns the rows of replications
+    a rerun computes only the rest (:func:`load_records` drops one it cut
+    off mid-append). Returns the rows of replications
     ``0 .. cfg.reps - 1`` as the store holds them. A store shared with a
     larger experiment keeps its higher replications on disk, but they are
     not handed on, so the aggregate covers exactly the replications this

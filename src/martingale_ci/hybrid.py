@@ -27,16 +27,14 @@ from scipy.special import ndtri
 
 from .factor_model import complement_projection, estimate_factors
 from .inference import (
-    CovEstimate,
     IntervalReport,
-    IvEstimate,
     PipelineFit,
     SIDE_ONE,
     SIDE_TWO,
     StatConfig,
     covariance,
 )
-from .iv_estimator import fit_selected
+from .iv_estimator import IvEstimate, fit_selected
 from .oga import (RSS_RESCUE_TOL, GramRows, default_iterations, hdbic,
                   oga_hdbic, oga_path_batch)
 from .resampler import ResampleSet
@@ -83,7 +81,7 @@ class StatisticEngine:
         self.x_tilde = complement_projection(self.factors.F_hat, self.X)
         self.gram = GramRows(self.X)
 
-    def estimate(self, J: np.ndarray, Y: np.ndarray) -> tuple[IvEstimate, CovEstimate]:
+    def estimate(self, J: np.ndarray, Y: np.ndarray) -> tuple[IvEstimate, np.ndarray]:
         """Projected-design estimate and sandwich covariance on the set J.
 
         The one path for observed and synthetic responses alike: the one
@@ -91,15 +89,15 @@ class StatisticEngine:
         and then :func:`covariance`. ``Y`` is one response (n,) or a block
         (n, b) that shares J, giving coefficients (m, b) and V (b, m, m).
         """
-        est = fit_selected(J, self.x_tilde[:, J], self.X[:, J], Y)
+        est = fit_selected(self.x_tilde[:, J], self.X[:, J], Y)
         return est, covariance(est, self.cfg.q)
 
     def fit(self, Y: np.ndarray) -> PipelineFit:
         """Selection, projected estimate, and sandwich variance for one response."""
         sel = oga_hdbic(self.X, Y, self.kn)
-        est, cov = self.estimate(sel.j_hat, Y)
-        sigma = np.sqrt(np.diag(cov.V) / self.n)
-        return PipelineFit(selection=sel, estimate=est, cov=cov, sigma=sigma)
+        est, V = self.estimate(sel.j_hat, Y)
+        return PipelineFit(selection=sel, estimate=est,
+                           sigma=np.sqrt(np.diag(V) / self.n))
 
     def statistics_batch(
         self, Y_batch: np.ndarray, j: int, theta: float,
@@ -129,8 +127,8 @@ class StatisticEngine:
             selected[members] = True
             pos = J.index(j)
             try:
-                est, cov = self.estimate(np.array(J), Y_batch[:, members])
-                beta, v_jj = est.beta_tilde[pos], cov.V[:, pos, pos]
+                est, V = self.estimate(np.array(J), Y_batch[:, members])
+                beta, v_jj = est.beta_tilde[pos], V[:, pos, pos]
             except np.linalg.LinAlgError:
                 beta, v_jj = np.nan, np.full(len(members), np.nan)
             ok = v_jj > 0.0

@@ -26,15 +26,6 @@ class InvalidTruncationError(ValueError):
     """Raised when a truncation interval has a >= b."""
 
 
-@dataclass
-class CovEstimate:
-    """Sandwich covariance V = n (X~'X~)^-1 S (X~'X~)^-1."""
-
-    V: np.ndarray
-    S: np.ndarray
-    q: int = 0
-
-
 @dataclass(frozen=True)
 class StatConfig:
     """Knobs shared by every statistic evaluation."""
@@ -77,18 +68,17 @@ def hac_meat(G: np.ndarray, q: int) -> np.ndarray:
     return S
 
 
-def covariance(est: IvEstimate, q: int = 1) -> CovEstimate:
-    """HAC sandwich covariance of the projected-design estimator.
+def covariance(est: IvEstimate, q: int = 1) -> np.ndarray:
+    """HAC sandwich covariance V = n (X~'X~)^-1 S (X~'X~)^-1.
 
-    The meat is :func:`hac_meat` of g_t = w_t x~_t up to lag q, the bread
+    The meat S is :func:`hac_meat` of g_t = w_t x~_t up to lag q, the bread
     the inverse projected gram ``est.inv_gram`` that the one guarded fit,
     ``iv_estimator.fit_selected``, returns. Residuals (n, b) of b responses
     give V (b, m, m).
     """
     S = hac_meat(est.x_tilde * est.residuals.T[..., None], q)
     V = len(est.x_tilde) * est.inv_gram @ S @ est.inv_gram
-    V = 0.5 * (V + np.swapaxes(V, -1, -2))
-    return CovEstimate(V=V, S=S, q=q)
+    return 0.5 * (V + np.swapaxes(V, -1, -2))
 
 
 @dataclass
@@ -97,7 +87,6 @@ class PipelineFit:
 
     selection: SelectionResult
     estimate: IvEstimate
-    cov: CovEstimate
     sigma: np.ndarray  # sqrt(V_jj / n) per selected coefficient
 
     @property
@@ -128,7 +117,7 @@ def t_interval(
     if m >= n:
         raise ValueError("need |J| < n for the t interval")
     X_J = X[:, j_hat]
-    est = fit_selected(j_hat, X_J, X_J, Y)
+    est = fit_selected(X_J, X_J, Y)
     rss = float(np.sum(est.residuals ** 2))
     dof = n - m
     s = math.sqrt(rss / dof)
@@ -141,20 +130,14 @@ def t_interval(
                           alpha=alpha)
 
 
-def iv_interval(
-    est: IvEstimate,
-    cov: CovEstimate,
-    j: int,
-    alpha: float,
-    side: str = SIDE_ONE,
-) -> IntervalReport:
+def iv_interval(fit: PipelineFit, j: int, alpha: float,
+                side: str = SIDE_ONE) -> IntervalReport:
     """Normal-theory interval for the projected-design estimator."""
-    pos = int(np.flatnonzero(est.j == j)[0])
-    n = est.x_tilde.shape[0]
-    sigma = math.sqrt(cov.V[pos, pos] / n)
+    pos = int(np.flatnonzero(fit.j_hat == j)[0])
+    beta, sigma = fit.estimate.beta_tilde[pos], fit.sigma[pos]
     z = ndtri(1.0 - alpha)
-    lower = est.beta_tilde[pos] - z * sigma
-    upper = np.inf if side == SIDE_ONE else est.beta_tilde[pos] + z * sigma
+    lower = beta - z * sigma
+    upper = np.inf if side == SIDE_ONE else beta + z * sigma
     return IntervalReport(j=j, method="iv", lower=float(lower), upper=float(upper),
                           alpha=alpha)
 

@@ -38,7 +38,6 @@ class SingularGramError(np.linalg.LinAlgError):
 class IvEstimate:
     """Projected-design coefficient estimate for one selected set."""
 
-    j: np.ndarray
     beta_tilde: np.ndarray
     x_tilde: np.ndarray
     inv_gram: np.ndarray  # (x_tilde'x_tilde)^-1, the sandwich's bread
@@ -64,12 +63,11 @@ def iv_estimate(
     if len(J) > n - k:
         raise ValueError(f"|J|={len(J)} exceeds n - k = {n - k}")
     X_J = X[:, J]
-    return fit_selected(J, complement_projection(F_hat, X_J), X_J, Y)
+    return fit_selected(complement_projection(F_hat, X_J), X_J, Y)
 
 
-def fit_selected(J: np.ndarray, x_tilde: np.ndarray, X_J: np.ndarray,
-                 Y: np.ndarray) -> IvEstimate:
-    """Least squares of Y on the projected columns x_tilde of the set J.
+def fit_selected(x_tilde: np.ndarray, X_J: np.ndarray, Y: np.ndarray) -> IvEstimate:
+    """Least squares of Y on x_tilde, the projected columns X_J of a set.
 
     One guarded factorization of x_tilde'x_tilde (:func:`factor_gram`,
     ``SingularGramError`` otherwise) gives the coefficients and the inverse
@@ -83,7 +81,7 @@ def fit_selected(J: np.ndarray, x_tilde: np.ndarray, X_J: np.ndarray,
         factor = factor_gram(x_tilde.T @ x_tilde)
         beta = cho_solve(factor, x_tilde.T @ Y, check_finite=False)
         inv_gram = cho_solve(factor, np.eye(m), check_finite=False)
-    return IvEstimate(j=J, beta_tilde=beta, x_tilde=x_tilde, inv_gram=inv_gram,
+    return IvEstimate(beta_tilde=beta, x_tilde=x_tilde, inv_gram=inv_gram,
                       residuals=Y - X_J @ beta)
 
 

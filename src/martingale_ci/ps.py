@@ -178,7 +178,7 @@ def ps_interval(
     pos = int(pos_hits[0])
 
     X_J = X[:, j_hat]
-    eta = X_J @ fit_selected(j_hat, X_J, X_J, Y).inv_gram[:, pos]
+    eta = X_J @ fit_selected(X_J, X_J, Y).inv_gram[:, pos]
     obs = float(eta @ Y)
 
     poly = SelectionPolytope.from_selection(X, sel)

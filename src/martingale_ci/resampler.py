@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .block_bootstrap import BlockPlan, double_block_bootstrap
+from .block_bootstrap import double_block_bootstrap
 from .dgp import Dataset
 from .factor_model import complement_projection, estimate_factors
 from .iv_estimator import iv_estimate
@@ -37,21 +37,11 @@ class ResampleSet:
     diagnostics: dict = field(default_factory=dict)
 
 
-def split(ds: Dataset) -> tuple[Dataset, Dataset]:
-    """Halve a dataset into contiguous, order-preserving row blocks."""
-    n = ds.n
+def halves(n: int) -> tuple[slice, slice]:
+    """Rows of the train and test halves: contiguous, in order, n // 2 first."""
     if n < MIN_SPLIT_LENGTH:
         raise ValueError(f"need n >= {MIN_SPLIT_LENGTH} to split, got {n}")
-    h = n // 2
-    meta_tr = dict(ds.meta, half="train")
-    meta_te = dict(ds.meta, half="test")
-    noise_tr = None if ds.noise is None else ds.noise[:h]
-    noise_te = None if ds.noise is None else ds.noise[h:]
-    train = Dataset(X=ds.X[:h], Y=ds.Y[:h], truth=ds.truth, meta=meta_tr,
-                    noise=noise_tr)
-    test = Dataset(X=ds.X[h:], Y=ds.Y[h:], truth=ds.truth, meta=meta_te,
-                   noise=noise_te)
-    return train, test
+    return slice(0, n // 2), slice(n // 2, n)
 
 
 def combine_beta(
@@ -94,19 +84,19 @@ def combined_estimate(
     selects gets 0 (``combine_beta``): at LAI n=200, p=250 that happens to
     about 17% of selected coefficients.
     """
-    train, test = split(ds)
-    sel_train, sel_test = (oga(d.X, d.Y, max(1, min(len(j_hat), d.n // 2, d.p)))
-                           for d in (train, test))
+    train, test = ((ds.X[rows], ds.Y[rows]) for rows in halves(ds.n))
+    sel_train, sel_test = (oga(X, Y, max(1, min(len(j_hat), len(Y) // 2, ds.p)))
+                           for X, Y in (train, test))
 
-    def _cross_fit(data: Dataset, J: np.ndarray) -> dict[int, float]:
+    def _cross_fit(X: np.ndarray, Y: np.ndarray, J: np.ndarray) -> dict[int, float]:
         if len(J) == 0:
             return {}
-        fe = estimate_factors(data.X, min(kmax, min(data.X.shape)))
-        est = iv_estimate(data.X, data.Y, J, fe.F_hat)
+        fe = estimate_factors(X, min(kmax, min(X.shape)))
+        est = iv_estimate(X, Y, J, fe.F_hat)
         return {int(j): float(b) for j, b in zip(J, est.beta_tilde)}
 
-    est_train_sel = _cross_fit(test, sel_train.j_hat)
-    est_test_sel = _cross_fit(train, sel_test.j_hat)
+    est_train_sel = _cross_fit(*test, sel_train.j_hat)
+    est_test_sel = _cross_fit(*train, sel_test.j_hat)
     beta = combine_beta(j_hat, est_train_sel, est_test_sel)
     diag = {
         "j_train": sel_train.j_hat.copy(),
@@ -147,9 +137,9 @@ def generate_w(
     comp = np.setdiff1d(np.arange(ds.p), j_plus)
     xf = complement_projection(F_hat, X[:, comp])
 
-    h = n // 2
-    sel_w_train = oga_hdbic(xf[:h], w_tilde[:h])
-    sel_w_test = oga_hdbic(xf[h:], w_tilde[h:])
+    train, test = halves(n)
+    sel_w_train = oga_hdbic(xf[train], w_tilde[train])
+    sel_w_test = oga_hdbic(xf[test], w_tilde[test])
     j_w = np.intersect1d(sel_w_train.j_hat, sel_w_test.j_hat)
 
     def _eps_half(rows: slice, other: np.ndarray) -> np.ndarray:
@@ -161,8 +151,8 @@ def generate_w(
         coef_jw = np.array([lookup[int(c)] for c in j_w])
         return w_half - xf[rows][:, j_w] @ coef_jw
 
-    eps_train = _eps_half(slice(0, h), sel_w_test.j_hat)
-    eps_test = _eps_half(slice(h, n), sel_w_train.j_hat)
+    eps_train = _eps_half(train, sel_w_test.j_hat)
+    eps_test = _eps_half(test, sel_w_train.j_hat)
     eps_hat = np.concatenate([eps_train, eps_test])
 
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -179,7 +169,6 @@ def generate_w(
         "j_w": j_w,
         "empty_j_w": len(j_w) == 0,
         "degenerate_combined": degenerate,
-        "iid_fallback": BlockPlan.for_length(n).iid_fallback,
     })
     return ResampleSet(j_hat=j_hat, beta_tilde=beta_tilde, j_plus=j_plus,
                        w_tilde=w_tilde, eps_hat=eps_hat, w_b=w_b,

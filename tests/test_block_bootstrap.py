@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from martingale_ci.block_bootstrap import BlockPlan, double_block_bootstrap
 
@@ -14,7 +15,6 @@ class TestBlockPlan:
         plan = BlockPlan.for_length(200)
         assert (plan.l, plan.n_prime, plan.a, plan.k, plan.l_prime, plan.c) == (
             5, 204, 40, 2, 4, 100)
-        assert not plan.iid_fallback
 
     def test_integer_cube_root_edges(self):
         assert BlockPlan.for_length(8).l == 2
@@ -22,8 +22,9 @@ class TestBlockPlan:
         assert BlockPlan.for_length(64).l == 4
         assert BlockPlan.for_length(1000).l == 10
 
-    def test_small_series_flags_fallback(self):
-        assert BlockPlan.for_length(7).iid_fallback
+    def test_small_series_rejected(self):
+        with pytest.raises(ValueError, match="need n >= 8"):
+            BlockPlan.for_length(7)
 
     def test_invariant_ck(self):
         for n in (8, 50, 199, 200, 1234):
@@ -58,11 +59,10 @@ class TestDoubleBlockBootstrap:
         b = double_block_bootstrap(eps, np.random.default_rng(77))
         assert np.array_equal(a, b)
 
-    def test_iid_fallback_small_series(self):
-        eps = np.arange(5, dtype=float)
-        out = double_block_bootstrap(eps, np.random.default_rng(5))
-        assert out.shape == (5,)
-        assert set(out.tolist()) <= set(eps.tolist())
+    def test_small_series_rejected(self):
+        eps = np.arange(7, dtype=float)
+        with pytest.raises(ValueError, match="need n >= 8"):
+            double_block_bootstrap(eps, np.random.default_rng(5))
 
     def test_preserves_short_range_dependence(self):
         # AR(1) with phi = 0.6: the mean resampled lag-1 autocorrelation

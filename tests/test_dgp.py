@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from martingale_ci.dgp import (
-    CoefVector,
     DgpConfig,
     GARCH_STATIONARY_VAR,
     InvalidConfigError,
@@ -30,7 +29,7 @@ def long_run_se(x: np.ndarray, q: int = 50) -> float:
 class TestMakeBeta:
     def test_multiset_counts_p250(self):
         beta = make_beta(250)
-        values = beta.values[beta.values != 0]
+        values = beta[beta != 0]
         assert np.sum(np.isclose(values, 0.6)) == 2
         assert np.sum(np.isclose(values, 0.4)) == 1
         assert np.sum(np.isclose(values, 0.2)) == 3
@@ -40,16 +39,16 @@ class TestMakeBeta:
     def test_placement(self):
         beta = make_beta(20)
         expect = [0.6, 0.6, 0.4, 0.2, 0.2, 0.2, 0.1, 0.1, 0.1, 0.1]
-        assert np.allclose(beta.values[:10], expect)
-        assert np.all(beta.values[10:] == 0.0)
+        assert np.allclose(beta[:10], expect)
+        assert np.all(beta[10:] == 0.0)
 
     def test_minimal_p_support(self):
         beta = make_beta(10)
-        assert set(beta.support.tolist()) == set(range(10))
+        assert set(np.flatnonzero(beta).tolist()) == set(range(10))
 
     def test_l1_norm(self):
         # 2(0.6) + 0.4 + 3(0.2) + 4(0.1) = 2.6 by hand.
-        assert np.isclose(np.abs(make_beta(250).values).sum(), 2.6)
+        assert np.isclose(np.abs(make_beta(250)).sum(), 2.6)
 
     def test_too_small_p_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -80,7 +79,7 @@ class TestGenerate:
         assert np.all(np.abs(v - 2.0) < 0.1)
 
     def test_zero_beta_gives_pure_noise(self):
-        beta = CoefVector(values=np.zeros(10), support=np.array([], dtype=int))
+        beta = np.zeros(10)
         cfg = DgpConfig(setting="IID", n=100, p=10, seed=2)
         ds = generate(cfg, beta)
         assert np.array_equal(ds.Y, ds.noise)
@@ -95,8 +94,7 @@ class TestGenerate:
 
     def test_mvn_pairwise_correlation(self):
         cfg = DgpConfig(setting="MVN", n=100_000, p=6, seed=23)
-        ds = generate(cfg, CoefVector(values=np.zeros(6),
-                                      support=np.array([], dtype=int)))
+        ds = generate(cfg, np.zeros(6))
         c = np.corrcoef(ds.X, rowvar=False)
         off = c[np.triu_indices(6, k=1)]
         assert np.all(np.abs(off - 0.2) < 0.02)
@@ -113,8 +111,8 @@ class TestGenerate:
         cfg = DgpConfig(setting="AR", n=120, p=15, seed=31)
         beta = make_beta(15)
         ds = generate(cfg, beta)
-        rebuilt = (beta.values[0] * ds.X[:, 0]
-                   + ds.X[:, 1:] @ beta.values[1:] + ds.noise)
+        rebuilt = (beta[0] * ds.X[:, 0]
+                   + ds.X[:, 1:] @ beta[1:] + ds.noise)
         assert np.allclose(rebuilt, ds.Y, atol=1e-12)
 
     def test_ar_lag_column_is_lagged_response(self):
@@ -147,8 +145,8 @@ class TestDatasetIo:
         assert meta["setting"] == "GARCH"
         assert meta["seed"] == 77
         assert meta["burn_in"] == 200
-        assert np.allclose(meta["beta"], ds.truth.values)
+        assert np.allclose(meta["beta"], ds.truth)
         loaded = load_dataset(path)
         assert np.array_equal(loaded.X, ds.X)
         assert np.array_equal(loaded.Y, ds.Y)
-        assert np.array_equal(loaded.truth.values, ds.truth.values)
+        assert np.array_equal(loaded.truth, ds.truth)

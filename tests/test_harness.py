@@ -418,6 +418,31 @@ class TestWorkerConfig:
                      "amse_IID.csv"):
             assert (part / name).read_bytes() == (full / name).read_bytes()
 
+    @pytest.mark.parametrize("cut", ["mid_replication", "torn_last_line"])
+    def test_resume_after_a_cut_off_append(self, tmp_path, cut):
+        # A replication's rows end with its rep row; a run stopped while
+        # appending them leaves a store that must resume to the same files.
+        def config(out_dir):
+            return ExperimentConfig(setting="IID", sizes=((60, 80),), reps=3,
+                                    methods=("t", "iv"), out_dir=out_dir)
+
+        full, part = tmp_path / "full", tmp_path / "part"
+        run_experiment(config(full))
+        store = "records_IID_n60_p80.csv"
+        lines = (full / store).read_bytes().splitlines(keepends=True)
+        if cut == "mid_replication":
+            # Replications 0 and 1, then the first interval row of 2.
+            second_rep = [i for i, line in enumerate(lines)
+                          if line.startswith(b"rep,")][1]
+            head = b"".join(lines[:second_rep + 2])
+        else:
+            head = b"".join(lines)[:-5]  # replication 2's rep row, torn
+        part.mkdir()
+        (part / store).write_bytes(head)
+        run_experiment(config(part))
+        for name in (store, "coverage_IID_n60_p80.csv", "amse_IID.csv"):
+            assert (part / name).read_bytes() == (full / name).read_bytes()
+
     def test_failed_replication_left_out_of_first_run_amse(self, tmp_path,
                                                            monkeypatch):
         real_w = harness.generate_w

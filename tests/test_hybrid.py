@@ -136,8 +136,8 @@ class TestStatisticConstantInTheta:
                 got = []
                 for theta in thetas:
                     Y = _synthetic_batch(ds.X, rs, j, theta, [b])
-                    est, cov = engine.estimate(J, Y)
-                    got.append((est.beta_tilde[pos, 0] - theta, cov.V[0, pos, pos]))
+                    est, V = engine.estimate(J, Y)
+                    got.append((est.beta_tilde[pos, 0] - theta, V[0, pos, pos]))
                 got = np.array(got)
                 assert np.allclose(got, got[0], rtol=1e-12, atol=0.0), (j, b)
 
@@ -480,7 +480,7 @@ class TestGridSweep:
         # at ``grid``.
         fit = PipelineFit(selection=SimpleNamespace(j_hat=np.array([0])),
                           estimate=SimpleNamespace(beta_tilde=np.zeros(1)),
-                          cov=None, sigma=np.ones(1))
+                          sigma=np.ones(1))
         seen, bracketed = {}, _PathSweep.bracketed
 
         def record(sweep, theta):

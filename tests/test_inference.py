@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from scipy.stats import norm, t as t_dist
 
 from _oracles import fit_pipeline, test_statistic as eval_statistic
 from martingale_ci.inference import (
-    CovEstimate,
     InvalidTruncationError,
+    PipelineFit,
     SIDE_ONE,
     SIDE_TWO,
     StatConfig,
     _log_phi_diff,
     covariance,
+    hac_meat,
     iv_interval,
     t_interval,
     truncnorm_sf,
@@ -26,19 +28,25 @@ def make_estimate(seed=0, n=40, m=3):
     x_tilde = rng.standard_normal((n, m))
     resid = rng.standard_normal(n)
     inv_gram = cho_solve(factor_gram(x_tilde.T @ x_tilde), np.eye(m))
-    return IvEstimate(j=np.arange(m), beta_tilde=rng.standard_normal(m),
-                      x_tilde=x_tilde, inv_gram=inv_gram, residuals=resid)
+    return IvEstimate(beta_tilde=rng.standard_normal(m), x_tilde=x_tilde,
+                      inv_gram=inv_gram, residuals=resid)
+
+
+def make_fit(est, sigma):
+    """A fit of the columns 0..m-1 with estimate ``est`` and scales ``sigma``."""
+    return PipelineFit(selection=SimpleNamespace(j_hat=np.arange(len(sigma))),
+                       estimate=est, sigma=sigma)
 
 
 class TestCovariance:
     def test_hac_q0_equals_uncorrelated_squared(self):
         # q = 0 is the sandwich with meat X~' diag(w^2) X~.
         est = make_estimate()
-        a = covariance(est, q=0)
+        V = covariance(est, q=0)
         S = est.x_tilde.T @ (est.x_tilde * est.residuals[:, None] ** 2)
         bread = np.linalg.inv(est.x_tilde.T @ est.x_tilde)
         expect = len(est.residuals) * bread @ S @ bread
-        assert np.max(np.abs(a.V - expect)) < 1e-10
+        assert np.max(np.abs(V - expect)) < 1e-10
 
     def test_bartlett_weight_q1(self):
         est = make_estimate(1)
@@ -46,19 +54,17 @@ class TestCovariance:
         gamma0 = G.T @ G
         A = G[1:].T @ G[:-1]
         expect_S = gamma0 + 0.5 * (A + A.T)
-        got = covariance(est, q=1)
-        assert np.allclose(got.S, expect_S, atol=1e-12)
+        assert np.allclose(hac_meat(G, q=1), expect_S, atol=1e-12)
 
     def test_scalar_hand_computation(self):
         n = 12
         resid = np.arange(1.0, n + 1.0)
         ones = np.ones((n, 1))
-        est = IvEstimate(j=np.array([0]), beta_tilde=np.array([1.0]),
-                         x_tilde=ones,
+        est = IvEstimate(beta_tilde=np.array([1.0]), x_tilde=ones,
                          inv_gram=cho_solve(factor_gram(ones.T @ ones), np.eye(1)),
                          residuals=resid)
-        cov = covariance(est, q=0)
-        assert np.isclose(cov.V[0, 0], n * np.sum(resid**2) / n**2)
+        V = covariance(est, q=0)
+        assert np.isclose(V[0, 0], n * np.sum(resid**2) / n**2)
 
 
 class TestTestStatistic:
@@ -128,9 +134,7 @@ class TestBaselineIntervals:
     def test_iv_interval_unit_variance(self):
         n, m = 25, 2
         est = make_estimate(6, n=n, m=m)
-        V = np.eye(m) * n  # V_jj = n so sigma_j = 1
-        cov = CovEstimate(V=V, S=V, q=0)
-        rep = iv_interval(est, cov, 1, alpha=0.1)
+        rep = iv_interval(make_fit(est, np.ones(m)), 1, alpha=0.1)
         assert np.isclose(rep.lower, est.beta_tilde[1] - 1.2816, atol=5e-5)
         assert rep.upper == np.inf
 
@@ -164,10 +168,11 @@ class TestQuantilesMatchScipyStats:
     def test_iv_interval(self, side):
         n, m = 50, 3
         est = make_estimate(9, n=n, m=m)
-        cov = covariance(est, q=1)
-        sigma = math.sqrt(cov.V[2, 2] / n)
+        V = covariance(est, q=1)
+        sigma = math.sqrt(V[2, 2] / n)
+        fit = make_fit(est, np.sqrt(np.diag(V) / n))
         for alpha in ALPHAS:
-            rep = iv_interval(est, cov, 2, alpha, side=side)
+            rep = iv_interval(fit, 2, alpha, side=side)
             z = norm.ppf(1.0 - alpha)
             assert rep.lower == float(est.beta_tilde[2] - z * sigma)
             assert rep.upper == (np.inf if side == SIDE_ONE

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import martingale_ci.resampler as resampler_mod
-from martingale_ci.dgp import Dataset, DgpConfig, generate, make_beta
+from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.factor_model import estimate_factors
 from martingale_ci.oga import SelectionResult, oga_hdbic
 from martingale_ci.resampler import (
     combine_beta,
     combined_estimate,
     generate_w,
-    split,
+    halves,
 )
 
 
@@ -20,26 +20,20 @@ def lai_dataset(seed=0, n=200, p=60):
 
 class TestSplit:
     def test_even_split(self):
-        ds, _ = lai_dataset(n=200)
-        train, test = split(ds)
-        assert train.n == 100 and test.n == 100
+        assert halves(200) == (slice(0, 100), slice(100, 200))
 
     def test_odd_split(self):
-        ds, _ = lai_dataset(1, n=201)
-        train, test = split(ds)
-        assert train.n == 100 and test.n == 101
+        assert halves(201) == (slice(0, 100), slice(100, 201))
 
     def test_concatenation_reproduces_dataset(self):
         ds, _ = lai_dataset(2, n=50)
-        train, test = split(ds)
-        assert np.array_equal(np.vstack([train.X, test.X]), ds.X)
-        assert np.array_equal(np.concatenate([train.Y, test.Y]), ds.Y)
+        train, test = halves(ds.n)
+        assert np.array_equal(np.vstack([ds.X[train], ds.X[test]]), ds.X)
+        assert np.array_equal(np.concatenate([ds.Y[train], ds.Y[test]]), ds.Y)
 
     def test_too_small_rejected(self):
-        X = np.random.default_rng(0).standard_normal((6, 3))
-        ds = Dataset(X=X, Y=X[:, 0])
-        with pytest.raises(ValueError):
-            split(ds)
+        with pytest.raises(ValueError, match="need n >= 8 to split, got 6"):
+            halves(6)
 
 
 class TestCombineBeta:
@@ -156,5 +150,5 @@ class TestCombinedEstimate:
         sel = oga_hdbic(ds.X, ds.Y)
         bt, diag = combined_estimate(ds, sel.j_hat)
         for pos, j in enumerate(sel.j_hat):
-            if beta.values[j] >= 0.4:
-                assert abs(bt[pos] - beta.values[j]) < 0.2
+            if beta[j] >= 0.4:
+                assert abs(bt[pos] - beta[j]) < 0.2
