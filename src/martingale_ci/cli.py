@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .dgp import DgpConfig, SETTINGS, generate, load_dataset, make_beta, save_dataset
-from .harness import (METHODS, ExperimentConfig, check_options, interval,
-                      run_experiment)
+from .harness import (METHODS, ExperimentConfig, check_options, default_alpha,
+                      interval, run_experiment)
 from .hybrid import StatisticEngine
 from .inference import SIDE_ONE, SIDE_TWO, StatConfig
 from .resampler import generate_w
@@ -61,16 +61,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--p", type=int, required=True, action="append")
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--methods", default="t,iv,ps,hr")
-    p_sim.add_argument("--workers", type=int, default=1,
-                       help=f"worker processes (env MARTINGALE_CI_WORKERS overrides)")
+    p_sim.add_argument("--workers", type=int, default=1, help="worker processes")
     p_sim.add_argument("--out", type=Path, required=True)
     return parser
+
+
+def _check_out_dir(out: Path) -> None:
+    if not out.parent.is_dir():
+        raise ValueError(f"output directory {out.parent} does not exist")
 
 
 def _cmd_dgp(args: argparse.Namespace) -> int:
     try:
         cfg = DgpConfig(setting=args.setting, n=args.n, p=args.p, seed=args.seed)
         beta = make_beta(args.p)
+        _check_out_dir(args.out)
     except ValueError as exc:
         print(f"dgp: {exc}", file=sys.stderr)
         return 2
@@ -87,17 +92,13 @@ def _estimate_sigma(X: np.ndarray, Y: np.ndarray, j_hat: np.ndarray) -> float:
     return float(np.sqrt(np.sum((Y - X_J @ beta) ** 2) / dof))
 
 
-def _default_alpha(args: argparse.Namespace) -> float:
-    if args.alpha is not None:
-        return args.alpha
-    return 0.2 if args.side == SIDE_ONE else 0.1
-
-
 def _cmd_ci(args: argparse.Namespace) -> int:
-    args.alpha = _default_alpha(args)
+    if args.alpha is None:
+        args.alpha = default_alpha(args.side)
     try:
         check_options((args.method,), args.side, args.alpha, args.B, args.kmax,
                       args.q, args.seed, args.sigma)
+        _check_out_dir(args.out)
     except ValueError as exc:
         print(f"ci: {exc}", file=sys.stderr)
         return 2
@@ -136,7 +137,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if len(args.n) != len(args.p):
         print("simulate: need as many --n as --p", file=sys.stderr)
         return 2
-    args.alpha = _default_alpha(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     try:
         cfg = ExperimentConfig(

@@ -31,7 +31,6 @@ from .resampler import ResampleSet, combined_estimate, generate_w, halves
 
 log = logging.getLogger(__name__)
 
-WORKERS_ENV_VAR = "MARTINGALE_CI_WORKERS"
 SIGNAL_GROUPS = (0.6, 0.4, 0.2, 0.1)
 # Nonzero-count per signal strength in the canonical coefficient vector.
 GROUP_SIZES = {g: int(np.count_nonzero(make_beta(10) == g)) for g in SIGNAL_GROUPS}
@@ -77,33 +76,46 @@ def check_options(methods: tuple[str, ...], side: str, alpha: float, B: int,
         raise ValueError(f"--sigma must be positive, got {ps_sigma}")
 
 
+def default_alpha(side: str) -> float:
+    """Tail mass when none is given: 80% nominal coverage on either side."""
+    return 0.2 if side == SIDE_ONE else 0.1
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One simulation experiment: a setting crossed with problem sizes."""
+    """One simulation experiment: a setting crossed with problem sizes.
+
+    Tables and record stores go to ``out_dir``; ``alpha`` None means
+    :func:`default_alpha` of the side.
+    """
 
     setting: str
     sizes: tuple[tuple[int, int], ...]
     reps: int
+    out_dir: Path
     B: int = 50
-    alpha: float = 0.2
+    alpha: float | None = None
     kmax: int = 5
     q: int = 1
     methods: tuple[str, ...] = METHODS
     side: str = SIDE_ONE
     seed: int = 0
-    out_dir: Path | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", default_alpha(self.side))
         check_options(self.methods, self.side, self.alpha, self.B, self.kmax,
                       self.q, self.seed)
         for n, p in self.sizes:
             DgpConfig(setting=self.setting, n=n, p=p, seed=self.seed)
             make_beta(p)
             halves(n)  # every replication splits the sample for its amse (and hr)
-        _worker_count(self)  # a bad worker count fails here
+        if type(self.workers) is not int or self.workers < 1:
+            raise ValueError(
+                f"--workers must be a positive integer, got {self.workers!r}")
 
 
 @dataclass
@@ -139,6 +151,7 @@ def interval(method: str, j: int, ds: Dataset, engine: StatisticEngine,
     The side is the engine's and ``fit`` is ``engine.fit(ds.Y)``; ``hr``
     needs the resample set ``rs`` and ``ps`` the noise scale ``ps_sigma``.
     Flags: ``failed:<Exception>`` (bounds nan, inf), ``nonconverged``,
+    ``empty`` (no grid point accepted), ``clipped`` (a grid end accepted),
     ``fallback`` (normal quantiles somewhere on the grid), or ``ok``.
     """
     side = engine.cfg.side
@@ -156,10 +169,15 @@ def interval(method: str, j: int, ds: Dataset, engine: StatisticEngine,
             rep = bound(engine, fit, j, rs, alpha)
     except (InfeasibleTruncationError, np.linalg.LinAlgError) as exc:
         return math.nan, math.inf, f"failed:{type(exc).__name__}"
+    diag = rep.diagnostics
     flags = "ok"
-    if not rep.diagnostics.get("converged", True):
+    if not diag.get("converged", True):
         flags = "nonconverged"
-    elif rep.diagnostics.get("fallbacks", 0):
+    elif diag.get("empty_region"):
+        flags = "empty"
+    elif diag.get("clipped_low") or diag.get("clipped_high"):
+        flags = "clipped"
+    elif diag.get("fallbacks", 0):
         flags = "fallback"
     return rep.lower, rep.upper, flags
 
@@ -296,21 +314,6 @@ def _append_records(path: Path, rows: list[dict], write_header: bool) -> None:
             writer.writerow(out)
 
 
-def _worker_count(cfg: ExperimentConfig) -> int:
-    """Pool size: ``MARTINGALE_CI_WORKERS`` if set, else ``cfg.workers``.
-
-    Raises ``ValueError`` when ``cfg.workers``, or the variable if set, is
-    not a positive integer.
-    """
-    sources = [("--workers", cfg.workers)]
-    if env := os.environ.get(WORKERS_ENV_VAR):
-        sources.append((WORKERS_ENV_VAR, env))
-    for name, value in sources:
-        if not str(value).isdecimal() or int(value) < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def _pin_blas_threads() -> None:
     # Children inherit these and read them at their own numpy import, which
     # keeps every replication single-BLAS-threaded regardless of pool size.
@@ -338,10 +341,9 @@ def ensure_records(cfg: ExperimentConfig, n: int, p: int, path: Path) -> list[di
         payloads = [(cfg.setting, n, p, cfg.seed, r, cfg.B, cfg.alpha,
                      cfg.kmax, cfg.q, tuple(cfg.methods), cfg.side)
                     for r in missing]
-        workers = _worker_count(cfg)
         _pin_blas_threads()
         write_header = not existing
-        with ProcessPoolExecutor(max_workers=workers,
+        with ProcessPoolExecutor(max_workers=cfg.workers,
                                  mp_context=get_context("spawn")) as pool:
             for res in pool.map(_run_task, payloads):
                 _append_records(path, _records_from_result(res), write_header)
@@ -477,7 +479,7 @@ def emit_tables(reports: list[MetricsReport], out_dir: Path) -> list[Path]:
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsReport]:
     """Run (or resume) every cell of an experiment and emit its tables."""
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else Path("martingale_ci_out")
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
     for (n, p) in cfg.sizes:

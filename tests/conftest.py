@@ -2,17 +2,6 @@ import numpy as np
 import pytest
 
 
-@pytest.fixture(autouse=True)
-def _worker_count_as_named(monkeypatch):
-    """Unset ``MARTINGALE_CI_WORKERS`` so each run uses the workers it names.
-
-    The variable overrides ``ExperimentConfig.workers``, so an exported
-    value would make a comparison across worker counts compare one count
-    with itself. Tests of the variable set it with ``monkeypatch.setenv``.
-    """
-    monkeypatch.delenv("MARTINGALE_CI_WORKERS", raising=False)
-
-
 @pytest.fixture()
 def ill_conditioned_design():
     """A 40x8 design whose observed fit selects a near-collinear pair.

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib.metadata
 import json
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 import martingale_ci
-from martingale_ci.cli import main
+from martingale_ci.cli import _build_parser, main
 from martingale_ci.dgp import Dataset, load_dataset, save_dataset
+from martingale_ci.harness import ExperimentConfig, run_experiment
 from martingale_ci.resampler import MIN_SPLIT_LENGTH
 
 
@@ -55,6 +57,15 @@ class TestDgpCommand:
         assert code == 2
         assert capsys.readouterr().err == "dgp: --seed must be >= 0, got -1\n"
         assert not out.exists()
+
+    def test_missing_out_dir_rejected(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "data.csv"
+        code = main(["dgp", "--setting", "IID", "--n", "40", "--p", "12",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"dgp: output directory {out.parent} does not exist\n")
+        assert not out.parent.exists()
 
 
 class TestCiCommand:
@@ -103,6 +114,22 @@ class TestCiCommand:
             assert lower <= upper
             assert (r["flags"] in ("ok", "fallback", "nonconverged")
                     or r["flags"].startswith("failed:"))
+
+    def test_missing_out_dir_rejected_before_work(self, dataset_csv, tmp_path,
+                                                  capsys, monkeypatch):
+        from martingale_ci import cli
+
+        def refuse(path):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "load_dataset", refuse)
+        out = tmp_path / "missing" / "bounds.csv"
+        code = main(["ci", "--in", str(dataset_csv), "--method", "hr",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"ci: output directory {out.parent} does not exist\n")
+        assert not out.parent.exists()
 
     def test_hr_too_few_resamples_rejected(self, dataset_csv, tmp_path, capsys):
         out = tmp_path / "ci_hr.csv"
@@ -294,21 +321,8 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"simulate: {message}\n"
         assert not (tmp_path / "sim").exists()
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
-    def test_bad_worker_env_rejected(self, tmp_path, capsys, monkeypatch, no_pool,
-                                     value):
-        monkeypatch.setenv("MARTINGALE_CI_WORKERS", value)
-        code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
-                     "--reps", "1", "--methods", "t", "--out", str(tmp_path / "sim")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"simulate: MARTINGALE_CI_WORKERS must be a positive integer, got '{value}'\n")
-        assert not (tmp_path / "sim").exists()
-
     @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_bad_worker_flag_rejected(self, tmp_path, capsys, monkeypatch, no_pool,
-                                      value):
-        monkeypatch.delenv("MARTINGALE_CI_WORKERS", raising=False)
+    def test_bad_worker_flag_rejected(self, tmp_path, capsys, no_pool, value):
         code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
                      "--reps", "1", "--methods", "t", "--workers", value,
                      "--out", str(tmp_path / "sim")])
@@ -316,6 +330,26 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             f"simulate: --workers must be a positive integer, got {value}\n")
         assert not (tmp_path / "sim").exists()
+
+    def test_workers_flag_is_the_only_worker_setting(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("MARTINGALE_CI_WORKERS", "abc")
+        code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
+                     "--reps", "1", "--methods", "t", "--workers", "1",
+                     "--out", str(tmp_path / "sim")])
+        assert code == 0
+
+    def test_default_alpha_same_as_a_config_without_alpha(self, tmp_path):
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
+                     "--reps", "2", "--methods", "t", "--side", "two",
+                     "--out", str(cli_out)])
+        assert code == 0
+        run_experiment(ExperimentConfig(setting="IID", sizes=((60, 30),),
+                                        reps=2, methods=("t",), side="two",
+                                        out_dir=lib_out))
+        store = "records_IID_n60_p30.csv"
+        assert (cli_out / store).read_bytes() == (lib_out / store).read_bytes()
 
     @pytest.mark.parametrize("sizes, message", [
         (["--n", "60", "--p", "5"], "need p >= 10 to place 10 nonzero entries, got 5"),
@@ -390,3 +424,34 @@ class TestConsoleScript:
         installed = shutil.which(SCRIPT)
         if installed:
             self.run_and_check([installed], tmp_path / "installed.csv")
+
+
+class TestDocsMatchCli:
+    """README's command-line section documents the parser, no more, no less."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def long_options(self):
+        sub, = [a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        return {opt for name in ("dgp", "ci", "simulate")
+                for action in sub.choices[name]._actions
+                for opt in action.option_strings
+                if opt.startswith("--") and opt != "--help"}
+
+    def readme(self):
+        return (self.ROOT / "README.md").read_text()
+
+    def test_command_line_section_names_every_option(self):
+        section = self.readme().split("\n## Command line\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+        options = self.long_options()
+        assert not options - named, "options README does not name"
+        assert not named - options, "options README names but the parser lacks"
+
+    def test_environment_variables_are_read(self):
+        sources = "".join(path.read_text()
+                          for path in (self.ROOT / "src").rglob("*.py"))
+        for name in set(re.findall(r"MARTINGALE_CI_\w+", self.readme())):
+            assert name in sources, f"README documents {name}, which src/ never reads"

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from martingale_ci import harness
-from martingale_ci.dgp import Dataset
+from martingale_ci.dgp import Dataset, DgpConfig, generate, make_beta
 from martingale_ci.hybrid import StatisticEngine
+from martingale_ci.inference import StatConfig
+from martingale_ci.resampler import generate_w
 from martingale_ci.harness import (
     ExperimentConfig,
     GROUP_SIZES,
@@ -371,22 +373,6 @@ class TestExperimentDeterminism:
 
 
 class TestWorkerConfig:
-    def test_env_var_overrides_worker_count(self, tmp_path, monkeypatch):
-        from martingale_ci import harness as H
-        seen = {}
-        real = H.ProcessPoolExecutor
-
-        class SpyPool(real):
-            def __init__(self, max_workers=None, **kw):
-                seen["max_workers"] = max_workers
-                super().__init__(max_workers=max_workers, **kw)
-
-        monkeypatch.setattr(H, "ProcessPoolExecutor", SpyPool)
-        monkeypatch.setenv("MARTINGALE_CI_WORKERS", "2")
-        cfg = tiny_config(tmp_path / "env", reps=2)  # cfg asks for workers=1
-        run_experiment(cfg)
-        assert seen["max_workers"] == 2
-
     def test_interrupted_run_keeps_finished_replications(self, tmp_path,
                                                          monkeypatch):
         real = harness.ProcessPoolExecutor
@@ -508,10 +494,11 @@ class TestTwoSidedHarness:
                              methods=("ps",), side="two",
                              out_dir=tmp_path, workers=1)
 
-    def test_unknown_side_rejected(self):
+    def test_unknown_side_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="--side must be 'one' or 'two'"):
             ExperimentConfig(setting="IID", sizes=((60, 80),), reps=1,
-                             methods=("t", "hr"), side="both", B=20)
+                             methods=("t", "hr"), side="both", B=20,
+                             out_dir=tmp_path)
 
     def test_hr_needs_min_resamples(self, tmp_path):
         import pytest as _pytest
@@ -524,3 +511,31 @@ class TestTwoSidedHarness:
             config(("t", "hr"), 19)
         assert config(("t", "hr"), 20).B == 20
         assert config(("t", "iv"), 5).B == 5
+
+    @pytest.mark.parametrize("side, alpha", [("one", 0.2), ("two", 0.1)])
+    def test_default_alpha_follows_side(self, tmp_path, side, alpha):
+        # 80% nominal on either side, the rule the command line uses too.
+        cfg = ExperimentConfig(setting="IID", sizes=((60, 30),), reps=1,
+                               methods=("t",), side=side, out_dir=tmp_path)
+        assert harness.default_alpha(side) == cfg.alpha == alpha
+
+    @pytest.mark.parametrize("stats, flag", [
+        ([-1.0, 100.0], "clipped"),  # every grid point accepted
+        ([100.0], "empty"),          # no grid point accepted
+    ])
+    def test_hr_grid_edge_cases_flagged(self, monkeypatch, stats, flag):
+        ds = generate(DgpConfig(setting="IID", n=150, p=20, seed=3),
+                      make_beta(20))
+        engine = StatisticEngine(ds.X, StatConfig(kmax=1, q=0, side="two"))
+        fit = engine.fit(ds.Y)
+        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, 40, 1, kmax=1)
+
+        def fixed(Y_batch, j, theta, paths=None):
+            b = Y_batch.shape[1]
+            return np.resize(stats, b), np.ones(b, dtype=bool), 0
+
+        monkeypatch.setattr(engine, "statistics_batch", fixed)
+        lb, ub, flags = harness.interval("hr", int(fit.j_hat[0]), ds, engine,
+                                         fit, 0.1, rs)
+        assert flags == flag
+        assert (lb == ub) is (flag == "empty")
