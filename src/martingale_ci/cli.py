@@ -69,6 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_out_dir(out: Path) -> None:
     if not out.parent.is_dir():
         raise ValueError(f"output directory {out.parent} does not exist")
+    if out.is_dir():
+        raise ValueError(f"--out {out} is a directory, not a file")
 
 
 def _cmd_dgp(args: argparse.Namespace) -> int:

@@ -14,7 +14,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -133,8 +133,6 @@ class MetricsReport:
     slb: dict[str, dict[float, float]]
     overall_cr: dict[str, float]
     amse: float
-    degenerate: int = 0
-    failures: dict[str, int] = field(default_factory=dict)
     failed: int = 0  # replications flagged failed:<Exception>, in reps too
 
 
@@ -368,7 +366,6 @@ def aggregate(records: list[dict], setting: str, n: int, p: int,
     by_method_group: dict[str, dict[float, list[tuple[float, float]]]] = {
         m: {g: [] for g in SIGNAL_GROUPS} for m in methods
     }
-    failures = {m: 0 for m in methods}
 
     for row in interval_rows:
         rep, j = int(row["rep"]), int(row["j"])
@@ -381,7 +378,6 @@ def aggregate(records: list[dict], setting: str, n: int, p: int,
             continue
         group_pairs[group].add((rep, j))
         if row["flags"].startswith("failed") or "" in (row["lb"], row["ub"]):
-            failures[method] += 1
             continue
         by_method_group[method][group].append((float(row["lb"]), float(row["ub"])))
 
@@ -415,12 +411,10 @@ def aggregate(records: list[dict], setting: str, n: int, p: int,
     amse_vals = [float(r["amse"]) for r in rep_rows
                  if r["amse"] != "" and math.isfinite(float(r["amse"]))]
     amse = float(np.mean(amse_vals)) if amse_vals else math.nan
-    degenerate = sum(1 for r in rep_rows if r["flags"] == "degenerate")
     failed = sum(1 for r in rep_rows if r["flags"].startswith("failed"))
     return MetricsReport(setting=setting, n=n, p=p, reps=len(rep_rows),
                          methods=tuple(methods), ns=ns, cr=cr, mlb=mlb,
                          slb=slb, overall_cr=overall, amse=amse,
-                         degenerate=degenerate, failures=failures,
                          failed=failed)
 
 

@@ -20,6 +20,7 @@ J again.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,8 +36,8 @@ from .inference import (
     covariance,
 )
 from .iv_estimator import IvEstimate, fit_selected
-from .oga import (RSS_RESCUE_TOL, GramRows, default_iterations, hdbic,
-                  oga_hdbic, oga_path_batch)
+from .oga import (RSS_RESCUE_TOL, default_iterations, hdbic, oga_hdbic,
+                  oga_path_batch)
 from .resampler import ResampleSet
 
 MIN_RESAMPLES = 20
@@ -64,11 +65,12 @@ REUSE_MARGIN = 1e-9
 class StatisticEngine:
     """Response-independent state for repeated statistic evaluation.
 
-    Factor estimation, the factor-complement projection and the gram rows
-    x_j'X of the columns greedy paths pick (``gram``, one buffer of those
-    rows, never the full p x p gram) depend only on the design matrix, so
-    they are computed once and shared by every response evaluated against
-    this design.
+    Factor estimation, the factor-complement projection and the Gram
+    matrix X'X (``gram``, which batch greedy paths gather their picks' rows
+    from) depend only on the design matrix, so they are computed once and
+    shared by every response evaluated against this design. ``gram`` is
+    computed when a batch path first needs it, so an engine that only
+    fits the observed response never pays its p x p cost.
     """
 
     def __init__(self, X: np.ndarray, cfg: StatConfig):
@@ -79,7 +81,11 @@ class StatisticEngine:
         self.kn = default_iterations(self.n, self.p)
         self.factors = estimate_factors(self.X, min(cfg.kmax, self.n, self.p))
         self.x_tilde = complement_projection(self.factors.F_hat, self.X)
-        self.gram = GramRows(self.X)
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """X'X, the Gram rows x_j'X of every column."""
+        return self.X.T @ self.X
 
     def estimate(self, J: np.ndarray, Y: np.ndarray) -> tuple[IvEstimate, np.ndarray]:
         """Projected-design estimate and sandwich covariance on the set J.

@@ -68,47 +68,6 @@ class SelectionResult:
     early_stopped: bool = False
 
 
-class GramRows:
-    """The Gram rows x_j'X of picked columns, in one buffer grown on demand.
-
-    The first ``rows`` rows of ``buf`` hold one row per distinct column
-    taken so far and ``row_of[j]`` is column j's row (-1 until taken), so
-    the rows of a step's picks are one gather, ``buf[row_of[picks]]``. A
-    full buffer grows by one row per pick of the step that overflows it
-    (one row at a time for a single response), resized in place so that
-    growing needs no second buffer beside it. One instance may serve every
-    call against the same X.
-
-    ``take`` returns fancy-indexed copies and no view of ``buf`` outlives
-    a call, so the resize skips numpy's reference check. That check
-    refuses whenever anything else refers to ``buf``, and under a trace or
-    profile hook (cProfile, pdb, coverage.py) the interpreter itself does
-    while the call runs.
-    """
-
-    def __init__(self, X: np.ndarray):
-        self.X = X
-        self.row_of = np.full(X.shape[1], -1)
-        self.buf = np.empty((0, X.shape[1]))
-        self.rows = 0
-
-    def take(self, picks: np.ndarray) -> np.ndarray:
-        """Rows x_j'X of the columns ``picks``, a new array; computes the
-        missing ones."""
-        rows = self.row_of[picks]
-        if rows.min() < 0:
-            missing = np.unique(picks[rows < 0])
-            end = self.rows + missing.size
-            if end > len(self.buf):
-                self.buf.resize((len(self.buf) + len(picks), self.buf.shape[1]),
-                                refcheck=False)
-            self.buf[self.rows:end] = self.X[:, missing].T @ self.X
-            self.row_of[missing] = np.arange(self.rows, end)
-            self.rows = end
-            rows = self.row_of[picks]
-        return self.buf[rows]
-
-
 def _scatter_coefficients(
     p: int, j_hat: np.ndarray, R: np.ndarray, beta_q: np.ndarray
 ) -> np.ndarray:
@@ -198,7 +157,7 @@ def oga_path_batch(
     Y_batch: np.ndarray,
     kn: int,
     col_norms: np.ndarray | None = None,
-    gram: GramRows | None = None,
+    gram: np.ndarray | None = None,
     direction: int | None = None,
     along: dict | None = None,
     bounds: bool = False,
@@ -209,10 +168,9 @@ def oga_path_batch(
     selected column indices in order (-1 padded), ``resid_norms`` is
     (B, kn) of residual norms after each step (NaN padded) and
     ``m_actual`` is (B,) path lengths. Selection rules match :func:`oga`.
-    ``gram`` (the ``GramRows`` of X) is filled as columns are picked and
-    may be shared by calls against the same X. With a ``direction``
-    column d, ``along`` is filled with what each path says along x_d, and
-    with ``bounds`` also with how far along it holds (see
+    ``gram`` is X'X, if known; calls against the same X may share it. With
+    a ``direction`` column d, ``along`` is filled with what each path says
+    along x_d, and with ``bounds`` also with how far along it holds (see
     :func:`_greedy_paths`).
     """
     sel, resid_norms, m_actual, *_ = _greedy_paths(X, Y_batch, kn, col_norms,
@@ -226,7 +184,7 @@ def _greedy_paths(
     Y_batch: np.ndarray,
     kn: int,
     col_norms: np.ndarray | None = None,
-    gram: GramRows | None = None,
+    gram: np.ndarray | None = None,
     direction: int | None = None,
     along: dict | None = None,
     bounds: bool = False,
@@ -236,8 +194,8 @@ def _greedy_paths(
     Returns ``(sel, resid_norms, m_actual, R, beta_q)``: the outputs of
     :func:`oga_path_batch` plus, per response, the (kn, kn) R factor of the
     selected columns and the response's coefficients on Q = X_J R^-1.
-    ``gram`` caches the rows x_j'X of picked columns across calls; without
-    it the call holds the rows of its own picks only.
+    A step gathers its picks' rows x_j'X from ``gram`` (X'X) when given
+    and computes them otherwise, so a path never depends on other calls.
 
     With a ``direction`` column d the loop fills ``along`` with (B, kn)
     arrays ``rss``, ``c_d`` and ``d_d``, the residual sum of squares, C_d
@@ -257,7 +215,6 @@ def _greedy_paths(
     kn = min(kn, n, p)
     if col_norms is None:
         col_norms = np.linalg.norm(X, axis=0)
-    gram = GramRows(X) if gram is None else gram
     safe_norms = np.where(col_norms <= 0.0, 1.0, col_norms)
     yy = np.einsum("nb,nb->b", Y_batch, Y_batch)
     stop_tol = RESIDUAL_TOL * np.sqrt(yy)
@@ -283,7 +240,7 @@ def _greedy_paths(
         scores[excluded] = -1.0
         j_pick = np.argmax(scores, axis=1)
         active &= scores[rows, j_pick] > stop_tol
-        G_j = gram.take(j_pick)  # (B, p)
+        G_j = X[:, j_pick].T @ X if gram is None else gram[j_pick]  # (B, p)
         g_jj = G_j[rows, j_pick]
         r1 = XtQ[rows, :k, j_pick]  # (B, k) = Q'x_j
         r2sq = g_jj - np.einsum("bk,bk->b", r1, r1)

@@ -59,13 +59,18 @@ class TestDgpCommand:
         assert not out.exists()
 
     def test_missing_out_dir_rejected(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "data.csv"
-        code = main(["dgp", "--setting", "IID", "--n", "40", "--p", "12",
-                     "--seed", "1", "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"dgp: output directory {out.parent} does not exist\n")
-        assert not out.parent.exists()
+        missing, folder = tmp_path / "missing" / "data.csv", tmp_path / "data"
+        folder.mkdir()
+        for out, message in (
+                (missing, f"output directory {missing.parent} does not exist"),
+                (folder, f"--out {folder} is a directory, not a file")):
+            code = main(["dgp", "--setting", "IID", "--n", "40", "--p", "12",
+                         "--seed", "1", "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err == f"dgp: {message}\n"
+        assert not missing.parent.exists()
+        assert sorted(tmp_path.iterdir()) == [folder]
+        assert not any(folder.iterdir())
 
 
 class TestCiCommand:
@@ -123,13 +128,17 @@ class TestCiCommand:
             raise AssertionError("the dataset was read")
 
         monkeypatch.setattr(cli, "load_dataset", refuse)
-        out = tmp_path / "missing" / "bounds.csv"
-        code = main(["ci", "--in", str(dataset_csv), "--method", "hr",
-                     "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"ci: output directory {out.parent} does not exist\n")
-        assert not out.parent.exists()
+        missing, folder = tmp_path / "missing" / "bounds.csv", tmp_path / "bounds"
+        folder.mkdir()
+        for out, message in (
+                (missing, f"output directory {missing.parent} does not exist"),
+                (folder, f"--out {folder} is a directory, not a file")):
+            code = main(["ci", "--in", str(dataset_csv), "--method", "hr",
+                         "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err == f"ci: {message}\n"
+        assert not missing.parent.exists()
+        assert not any(folder.iterdir())
 
     def test_hr_too_few_resamples_rejected(self, dataset_csv, tmp_path, capsys):
         out = tmp_path / "ci_hr.csv"

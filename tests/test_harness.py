@@ -169,6 +169,24 @@ class TestRunReplication:
         assert {row[2] for row in profiled["intervals"]} == {"t", "iv", "ps", "hr"}
         assert repr(profiled) == repr(plain)
 
+    @pytest.mark.parametrize("hook", ["setprofile", "settrace"])
+    def test_same_result_under_a_trace_or_profile_hook(self, hook):
+        # cProfile, pdb and coverage.py install such hooks, and the
+        # interpreter then holds references to every frame's arrays.
+        import sys
+
+        cells = [("LAI", 60, 80, 0, 0, 20, 0.2, 5, 1, ("t", "iv", "ps", "hr"), "one"),
+                 ("LAI", 60, 80, 0, 0, 20, 0.1, 5, 1, ("hr",), "two")]
+        plain = [run_replication(*cell) for cell in cells]
+        install, previous = getattr(sys, hook), getattr(sys, "get" + hook[3:])()
+        install(lambda *args: None)
+        try:
+            hooked = [run_replication(*cell) for cell in cells]
+        finally:
+            install(previous)
+        assert [res["flags"] for res in plain] == ["ok", "ok"]
+        assert hooked == plain
+
 
 class TestEstimationOnly:
     """A replication with no methods: selection and the cross-fit only."""

@@ -591,3 +591,25 @@ class TestHybridTwoSided:
     def test_two_sided_tail_convention(self):
         # Nominal 80% two-sided coverage means alpha = 0.1 in each tail.
         assert np.isclose(norm.ppf(1 - 0.1 / 2), 1.6449, atol=1e-4)
+
+
+class TestCallOrder:
+    """A bound depends on its column and inputs, not on the bounds before it."""
+
+    @pytest.mark.parametrize("setting", ["LAI", "GARCH"])
+    @pytest.mark.parametrize("side", [SIDE_ONE, SIDE_TWO])
+    def test_bound_on_fresh_engine_matches_shared_engine(self, setting, side):
+        ds, _ = small_problem(5, n=150, p=120, setting=setting)
+        cfg = StatConfig(kmax=5, q=1, side=side)
+        bound = hybrid_ci_one_sided if side == SIDE_ONE else hybrid_ci_two_sided
+        alpha = 0.2 if side == SIDE_ONE else 0.1
+        shared = StatisticEngine(ds.X, cfg)
+        fit = shared.fit(ds.Y)
+        assert len(fit.j_hat) >= 3
+        rs = generate_w(ds, fit.j_hat, shared.factors.F_hat, B=50, seed=5)
+        after = [bound(shared, fit, int(j), rs, alpha) for j in fit.j_hat]
+        for j, want in zip(fit.j_hat[1:], after[1:]):
+            fresh = StatisticEngine(ds.X, cfg)
+            got = bound(fresh, fresh.fit(ds.Y), int(j), rs, alpha)
+            assert (got.lower, got.upper) == (want.lower, want.upper)
+            assert got.diagnostics == want.diagnostics

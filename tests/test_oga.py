@@ -3,7 +3,6 @@ import pytest
 
 from _oracles import naive_forward_stepwise
 from martingale_ci.oga import (
-    GramRows,
     default_iterations,
     hdbic,
     oga,
@@ -443,7 +442,8 @@ def _plain_along(X, Yb, kn, d):
 
 
 class TestGramRows:
-    """The Gram rows of picked columns, gathered from one buffer."""
+    """The Gram rows of picked columns: gathered from the engine's X'X, or
+    computed per call without it."""
 
     @staticmethod
     def _batches(setting):
@@ -455,6 +455,13 @@ class TestGramRows:
                    for s, b in ((0.3, 12), (1.0, 5), (0.5, 1), (2.0, 20))]
         return ds.X, batches, default_iterations(90, 60), int(oga(ds.X, ds.Y, 1).j_hat[0])
 
+    @staticmethod
+    def _engine(X):
+        from martingale_ci.hybrid import StatisticEngine
+        from martingale_ci.inference import StatConfig
+
+        return StatisticEngine(X, StatConfig(kmax=5, q=1, side="one"))
+
     @pytest.mark.parametrize("setting", ["IID", "LAI", "GARCH"])
     def test_shared_buffer_matches_fresh_calls(self, setting):
         # A row x_j'X that BLAS computes together with other rows may differ
@@ -462,7 +469,7 @@ class TestGramRows:
         # norms and the along-x_d steps agree to rounding; picks, signs and
         # path lengths agree exactly.
         X, batches, kn, d = self._batches(setting)
-        gram = GramRows(X)
+        gram = self._engine(X).gram
         for Yb in batches:
             shared, fresh = {}, {}
             got = oga_path_batch(X, Yb, kn, None, gram, direction=d, along=shared)
@@ -478,89 +485,27 @@ class TestGramRows:
                                    atol=1e-12 * scale, equal_nan=True), key
 
     @pytest.mark.parametrize("setting", ["IID", "LAI", "GARCH"])
-    def test_warm_buffer_repeats_the_call_that_filled_it(self, setting):
-        # Rows already in the buffer are gathered, never recomputed, so a
-        # repeated call gives the same bits, whatever the calls in between.
+    def test_paths_do_not_depend_on_call_order(self, setting):
+        # Batches A then B on one engine, B then A on a fresh one: every
+        # batch gets the same bits either way.
         X, batches, kn, d = self._batches(setting)
-        gram = GramRows(X)
-        first = []
-        for Yb in batches:
-            along = {}
-            first.append((oga_path_batch(X, Yb, kn, None, gram, direction=d,
-                                         along=along), along))
-        rows = gram.rows
-        for Yb, (want, want_along) in zip(batches[::-1], first[::-1]):
-            along = {}
-            got = oga_path_batch(X, Yb, kn, None, gram, direction=d, along=along)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b, equal_nan=True)
-            for key in want_along:
-                assert np.array_equal(along[key], want_along[key], equal_nan=True), key
-        assert gram.rows == rows
-
-    def test_buffer_holds_exactly_the_distinct_picks(self):
-        X, batches, kn, _ = self._batches("LAI")
-        gram, picked = GramRows(X), set()
-        for Yb in batches:
-            sel, _, m_act = oga_path_batch(X, Yb, kn, None, gram)
-            assert (m_act == kn).all()  # no path stops, so every pick is kept
-            picked |= set(sel.ravel().tolist())
-            cols = np.flatnonzero(gram.row_of >= 0)
-            assert set(cols.tolist()) == picked
-            assert gram.rows == len(picked) <= len(gram.buf)
-            assert sorted(gram.row_of[cols].tolist()) == list(range(gram.rows))
-            assert np.allclose(gram.buf[gram.row_of[cols]], X[:, cols].T @ X,
-                               rtol=1e-12, atol=1e-12)
-
-    def test_oga_without_cache_allocates_only_its_picks(self, monkeypatch):
-        X, batches, kn, _ = self._batches("IID")
-        made, init = [], GramRows.__init__
-
-        def record(self, X):
-            init(self, X)
-            made.append(self)
-
-        monkeypatch.setattr(GramRows, "__init__", record)
-        sel = oga(X, batches[2][:, 0], kn)
-        assert sel.m == kn and len(made) == 1
-        assert len(made[0].buf) == made[0].rows == kn
-        assert set(np.flatnonzero(made[0].row_of >= 0).tolist()) == set(sel.j_hat.tolist())
-
-    @pytest.mark.parametrize("hook", ["setprofile", "settrace"])
-    def test_growth_under_a_trace_or_profile_hook(self, hook):
-        # cProfile, pdb and coverage.py install such hooks; the buffer must
-        # still grow in place, and give the same bits as without one.
-        import sys
-
-        X, batches, kn, d = self._batches("LAI")
-
-        def run():
-            gram, out = GramRows(X), [oga(X, batches[2][:, 0], kn)]
-            for Yb in batches:
-                along = {}
-                out.append(oga_path_batch(X, Yb, kn, None, gram, direction=d,
-                                          along=along, bounds=True))
-                out.append(along)
-            return out, gram.rows
-
-        plain, plain_rows = run()
-        install, previous = getattr(sys, hook), getattr(sys, "get" + hook[3:])()
-        install(lambda *args: None)
-        try:
-            hooked, hooked_rows = run()
-        finally:
-            install(previous)
-        assert hooked_rows == plain_rows
-        first, want = hooked[0], plain[0]
-        for key in ("j_hat", "R", "beta_q", "residual_norms"):
-            assert np.array_equal(getattr(first, key), getattr(want, key)), key
-        for got, want in zip(hooked[1::2], plain[1::2]):
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b, equal_nan=True)
-        for got, want in zip(hooked[2::2], plain[2::2]):
-            assert got.keys() == want.keys()
-            for key in want:
-                assert np.array_equal(got[key], want[key], equal_nan=True), key
+        for a, b in ((0, 3), (1, 2)):
+            runs = []
+            for order in ((a, b), (b, a)):
+                gram, out = self._engine(X).gram, {}
+                for i in order:
+                    along = {}
+                    out[i] = (oga_path_batch(X, batches[i], kn, None, gram,
+                                             direction=d, along=along), along)
+                runs.append(out)
+            for i in (a, b):
+                (got, got_along), (want, want_along) = runs[0][i], runs[1][i]
+                for x, y in zip(got, want):
+                    assert np.array_equal(x, y, equal_nan=True)
+                assert got_along.keys() == want_along.keys()
+                for key in want_along:
+                    assert np.array_equal(got_along[key], want_along[key],
+                                          equal_nan=True), key
 
 
 class TestSelectionScale:
