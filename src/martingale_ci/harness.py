@@ -150,7 +150,8 @@ def interval(method: str, j: int, ds: Dataset, engine: StatisticEngine,
     needs the resample set ``rs`` and ``ps`` the noise scale ``ps_sigma``.
     Flags: ``failed:<Exception>`` (bounds nan, inf), ``nonconverged``,
     ``empty`` (no grid point accepted), ``clipped`` (a grid end accepted),
-    ``fallback`` (normal quantiles somewhere on the grid), or ``ok``.
+    ``fallback`` (normal quantiles at some grid point or refinement
+    midpoint), or ``ok``.
     """
     side = engine.cfg.side
     try:

@@ -7,8 +7,9 @@ the observed statistic is compared with quantiles of the synthetic ones,
 conditioned on the target column having been selected. The one-sided bound
 inverts that comparison by bisection, reusing a resample's greedy path
 between two evaluated thetas at which it is the same; the two-sided bound
-scans a grid, reusing each resample's greedy path over the theta-interval
-on which it provably holds.
+scans a grid inward from both ends to the hull of its acceptance region,
+reusing each resample's greedy path over the theta-interval on which it
+provably holds.
 
 A resample's statistic depends on theta only through its selected set J.
 Its response is y_b(theta) = a_b + theta x_j and the projected design
@@ -58,8 +59,12 @@ BISECT_MAX_ITERATIONS = 60
 GRID_POINTS = 81
 GRID_HALF_WIDTH = 4.0
 # A greedy path is reused at theta only while theta stays REUSE_MARGIN
-# standard errors below the upper end of the interval on which it holds.
+# standard errors inside the end of the interval on which it holds.
 REUSE_MARGIN = 1e-9
+# A grid scan computes a resample's next path early, in the batch of the
+# point it visits, when that path's anchor is at most this many points
+# ahead: fewer, larger batches, and few paths past where the scan stops.
+_LOOKAHEAD = 4
 
 
 class StatisticEngine:
@@ -321,12 +326,12 @@ class _PathSweep:
     is a segment of ``seg``, anchored at the theta it was computed at;
     where it holds, its residual norms at t = theta - anchor are
     sqrt(rss + 2 t C_d + t^2 D_d) (``oga_path_batch`` along column j).
-    Every evaluation reads its paths from ``bracketed``; ``grid`` only
+    Every evaluation reads its paths from ``bracketed``; ``scan`` only
     fills the visits of a grid ahead of it. Two rules say where a path
     holds:
 
-    - ``grid``: on [anchor, anchor + hi), the upper end ``oga_path_batch``
-      bounds along x_j.
+    - ``scan``: from the anchor for ``hold`` in the scan's direction, the
+      end ``oga_path_batch`` bounds along x_j (see ``_compute``).
     - ``bracketed``: between two visited thetas at which the resample's
       paths are the same (same picks, same signs, all kn steps, no n-space
       step). Along a fixed path the normalized correlations move as
@@ -350,18 +355,25 @@ class _PathSweep:
         self.visits: dict[float, np.ndarray] = {}  # theta -> segments there
 
     def _compute(self, members: np.ndarray, thetas: np.ndarray,
-                 bounds: bool) -> np.ndarray:
+                 toward: int = 0) -> np.ndarray:
         """Paths of resamples ``members`` at ``thetas``; their segment ids.
 
-        Without ``bounds`` a segment's interval is its anchor alone.
+        With ``toward`` +1 (-1) a segment's ``hold`` is how far above
+        (below) its anchor it provably holds; with 0 its interval is its
+        anchor alone. The path of y - t x_j is that of -y + t x_j, so the
+        hold below is the ``hi`` of -y, whose path has y's picks, residual
+        norms, ``rss``, ``d_d`` and ``exact`` and the negated ``c_d`` and
+        signs.
         """
         e = self.engine
         Y = _synthetic_batch(e.X, self.rs, self.j, thetas, members)
         found: dict = {}
-        sel, _, m_actual = oga_path_batch(e.X, Y, e.kn, e.col_norms, e.gram,
-                                          direction=self.j, along=found,
-                                          bounds=bounds)
-        new = dict(theta=thetas, hi=found.get("hi", np.zeros(len(members))),
+        sel, _, m_actual = oga_path_batch(e.X, -Y if toward < 0 else Y, e.kn,
+                                          e.col_norms, e.gram, direction=self.j,
+                                          along=found, bounds=bool(toward))
+        if toward < 0:
+            found.update(c_d=-found["c_d"], sign=-found["sign"])
+        new = dict(theta=thetas, hold=found.get("hi", np.zeros(len(members))),
                    sel=sel, m=m_actual, rss=found["rss"], c_d=found["c_d"],
                    d_d=found["d_d"], sign=found["sign"], exact=found["exact"],
                    yy=np.einsum("nb,nb->b", Y, Y), xy=e.X[:, self.j] @ Y)
@@ -393,27 +405,35 @@ class _PathSweep:
         return np.all(self._rss(theta, segs) >= RSS_RESCUE_TOL * yy[:, None],
                       axis=1)
 
-    def grid(self, thetas: np.ndarray) -> None:
-        """Visit every point of a grid, thetas increasing.
+    def scan(self, thetas: np.ndarray):
+        """Visit the points of a grid in order, thetas increasing or decreasing.
 
-        Each round computes, in one batch, every resample's path at its
-        first grid point not yet visited. From its anchor on, the path
-        serves the grid points below its upper end up to the first where
-        it does not hold.
+        A generator: it yields each point's position in ``thetas`` once
+        the point is visited, so a caller that stops early computes no
+        path for the points after it. Each round computes, in one batch,
+        the path of every resample whose first point not yet served lies
+        within ``_LOOKAHEAD`` points of the next to visit, at that point.
+        From its anchor on, the path serves the later points that lie
+        before the end of its hold, up to the first where it does not hold.
         """
+        toward = -1 if len(thetas) > 1 and thetas[-1] < thetas[0] else 1
         segs_at = np.empty((len(thetas), self.rs.w_b.shape[0]), dtype=int)
         nxt = np.zeros(segs_at.shape[1], dtype=int)
-        while (members := np.flatnonzero(nxt < len(thetas))).size:
-            segs = self._compute(members, thetas[nxt[members]], bounds=True)
-            t = thetas - self.seg["theta"][segs][:, None]
-            ahead = t > 0.0
-            b, g = np.nonzero(ahead & (t < self.seg["hi"][segs][:, None] - self.margin))
-            serves = ~ahead
-            serves[b, g] = self._holds(thetas[g], segs[b])
-            serves = np.logical_and.accumulate(serves, axis=1) & (t >= 0.0)
-            segs_at[:, members] = np.where(serves.T, segs, segs_at[:, members])
-            nxt[members] += np.count_nonzero(serves, axis=1)
-        self.visits.update(zip(thetas.tolist(), segs_at))
+        for i, theta in enumerate(thetas.tolist()):
+            if (nxt == i).any():
+                members = np.flatnonzero(nxt <= min(i + _LOOKAHEAD, len(thetas) - 1))
+                segs = self._compute(members, thetas[nxt[members]], toward)
+                t = toward * (thetas - self.seg["theta"][segs][:, None])
+                ahead = t > 0.0
+                b, g = np.nonzero(ahead & (t < self.seg["hold"][segs][:, None]
+                                           - self.margin))
+                serves = ~ahead
+                serves[b, g] = self._holds(thetas[g], segs[b])
+                serves = np.logical_and.accumulate(serves, axis=1) & (t >= 0.0)
+                segs_at[:, members] = np.where(serves.T, segs, segs_at[:, members])
+                nxt[members] += np.count_nonzero(serves, axis=1)
+            self.visits[theta] = segs_at[i]
+            yield i
 
     def bracketed(self, theta: float) -> tuple[np.ndarray, ...]:
         """``(sel, resid_norms, m_actual)`` at theta, in any order of thetas.
@@ -440,8 +460,7 @@ class _PathSweep:
                 segs[kept] = nearer[kept]
             stale = np.flatnonzero(segs < 0)
             if stale.size:
-                segs[stale] = self._compute(stale, np.full(stale.size, theta),
-                                            bounds=False)
+                segs[stale] = self._compute(stale, np.full(stale.size, theta))
             self.visits[theta] = segs
         segs = self.visits[theta]
         rss = self._rss(theta, segs)
@@ -457,8 +476,18 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     |statistic| lies between the alpha and (1-alpha) resample quantiles;
     the reported bounds are the outermost accepted points, tightened by one
     midpoint refinement on each side; ``clipped_low``/``clipped_high`` flag
-    an accepted grid end. Greedy paths come from a ``_PathSweep`` along the
-    grid: ``paths`` counts the resample paths computed and
+    an accepted grid end and ``empty_region`` a grid with no accepted point.
+    ``fallbacks`` counts the evaluations that used normal quantiles.
+
+    The grid is scanned upward from its low end and downward from its high
+    end, each scan stopping at its first accepted point, so the points
+    between the hull's ends are evaluated only for what they can still
+    change: whether some grid point or midpoint fell back. They are scanned
+    upward, up to the first fallback, only when no evaluation so far fell
+    back and no end was accepted (``interior_scanned``). The bounds and
+    flags are those of evaluating every grid point; the counts below are
+    over the points evaluated. Greedy paths come from a ``_PathSweep``
+    along the grid: ``paths`` counts the resample paths computed and
     ``paths_reused`` the (resample, theta) evaluations that reused one;
     ``statistics`` and ``statistics_reused`` count as in
     :func:`hybrid_ci_one_sided`.
@@ -486,10 +515,11 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     half = GRID_HALF_WIDTH * sigma
     grid = np.linspace(beta_obs - half, beta_obs + half, GRID_POINTS)
     sweep = _PathSweep(engine, rs, j, sigma)
-    sweep.grid(grid)
-    results = [accepted(theta) for theta in grid]
-    inside = np.array([r[0] for r in results])
-    diag.update(clipped_low=bool(inside[0]), clipped_high=bool(inside[-1]))
+    results: dict[int, tuple[bool, float]] = {}  # grid index -> accepted()
+
+    def inside(i: int) -> bool:
+        results[i] = accepted(float(grid[i]))
+        return results[i][0]
 
     def done(lower: float, upper: float, empty: bool) -> IntervalReport:
         diag.update(empty_region=empty, paths=sweep.paths,
@@ -497,17 +527,27 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
         return IntervalReport(j=j, method="hr", lower=lower, upper=upper,
                               alpha=alpha, diagnostics=diag)
 
-    if not inside.any():
-        violations = np.array([r[1] for r in results])
-        best = float(grid[int(np.argmin(violations))])
+    upward = sweep.scan(grid)
+    lo_idx = next((i for i in upward if inside(i)), None)
+    if lo_idx is None:  # the upward scan evaluated every grid point
+        diag.update(clipped_low=False, clipped_high=False, interior_scanned=False)
+        best = float(grid[min(results, key=lambda i: results[i][1])])
         return done(best, best, True)
+    top = len(grid) - 1
+    hi_idx = next((top - k for k in sweep.scan(grid[:lo_idx:-1]) if inside(top - k)),
+                  lo_idx)
+    diag.update(clipped_low=lo_idx == 0, clipped_high=hi_idx == top)
 
-    lo_idx = int(np.argmax(inside))
-    hi_idx = int(len(inside) - 1 - np.argmax(inside[::-1]))
     theta_l = float(grid[lo_idx])
     theta_u = float(grid[hi_idx])
     if lo_idx > 0 and accepted(mid := 0.5 * (grid[lo_idx - 1] + theta_l))[0]:
         theta_l = float(mid)
-    if hi_idx < len(grid) - 1 and accepted(mid := 0.5 * (theta_u + grid[hi_idx + 1]))[0]:
+    if hi_idx < top and accepted(mid := 0.5 * (theta_u + grid[hi_idx + 1]))[0]:
         theta_u = float(mid)
+    diag["interior_scanned"] = not (diag["fallbacks"] or lo_idx == 0 or hi_idx == top)
+    if diag["interior_scanned"]:
+        for _ in range(lo_idx + 1, hi_idx):
+            accepted(float(grid[next(upward)]))
+            if diag["fallbacks"]:
+                break
     return done(theta_l, theta_u, False)

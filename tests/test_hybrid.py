@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from _oracles import fit_pipeline, test_statistic as eval_statistic
+from martingale_ci import hybrid
 from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.hybrid import (
     BISECT_WIDTH,
@@ -379,27 +380,27 @@ class TestBracketReuse:
 def _per_theta_interval(engine, fit, j, rs, alpha):
     """The two-sided grid bound with fresh paths at every theta.
 
-    One ``oga_path_batch`` and one ``statistics_batch`` call per theta, as
-    the bound ran before paths were reused along theta. Returns the bounds,
-    the flags and the paths of every theta evaluated.
+    One ``oga_path_batch`` and one ``statistics_batch`` call at every grid
+    point and at both midpoints, as the bound ran before paths were reused
+    along theta and before it stopped scanning at the hull. Returns the
+    bounds, the flags (``fallback``: any evaluation fell back) and, by
+    theta, ``(paths, fell_back, failures)``.
     """
     pos = fit.position(j)
     beta_obs, sigma = float(fit.estimate.beta_tilde[pos]), float(fit.sigma[pos])
     fallback = (norm.ppf(0.5 * (1 + alpha)), norm.ppf(1 - 0.5 * alpha))
-    paths, flags = {}, {"fallbacks": 0, "failures": 0}
+    at = {}
 
     def accepted(theta):
         Y = _synthetic_batch(engine.X, rs, j, theta)
-        paths[theta] = oga_path_batch(engine.X, Y, engine.kn, engine.col_norms)
+        paths = oga_path_batch(engine.X, Y, engine.kn, engine.col_norms)
         stats, selected, failures = engine.statistics_batch(Y, j, theta,
-                                                            paths=paths[theta])
-        flags["failures"] += failures
+                                                            paths=paths)
         cond = stats[selected & np.isfinite(stats)]
         u = fallback
         if len(cond) >= MIN_CONDITIONED:
             u = (_order_statistic(cond, alpha), _order_statistic(cond, 1 - alpha))
-        else:
-            flags["fallbacks"] += 1
+        at[theta] = (paths, len(cond) < MIN_CONDITIONED, failures)
         t_obs = abs(beta_obs - theta) / sigma
         return u[0] < t_obs < u[1], max(u[0] - t_obs, t_obs - u[1])
 
@@ -407,60 +408,159 @@ def _per_theta_interval(engine, fit, j, rs, alpha):
     grid = np.linspace(beta_obs - half, beta_obs + half, GRID_POINTS)
     results = [accepted(theta) for theta in grid]
     inside = np.array([r[0] for r in results])
-    flags.update(clipped_low=bool(inside[0]), clipped_high=bool(inside[-1]),
+    flags = dict(clipped_low=bool(inside[0]), clipped_high=bool(inside[-1]),
                  empty_region=not inside.any())
     if flags["empty_region"]:
         best = float(grid[np.argmin([r[1] for r in results])])
-        return (best, best), flags, paths
-    lo_idx = int(np.argmax(inside))
-    hi_idx = len(inside) - 1 - int(np.argmax(inside[::-1]))
-    lower, upper = float(grid[lo_idx]), float(grid[hi_idx])
-    if lo_idx > 0 and accepted(mid := 0.5 * (grid[lo_idx - 1] + lower))[0]:
-        lower = float(mid)
-    if hi_idx < len(grid) - 1 and accepted(mid := 0.5 * (upper + grid[hi_idx + 1]))[0]:
-        upper = float(mid)
-    return (lower, upper), flags, paths
+        bounds = (best, best)
+    else:
+        lo_idx = int(np.argmax(inside))
+        hi_idx = len(inside) - 1 - int(np.argmax(inside[::-1]))
+        lower, upper = float(grid[lo_idx]), float(grid[hi_idx])
+        if lo_idx > 0 and accepted(mid := 0.5 * (grid[lo_idx - 1] + lower))[0]:
+            lower = float(mid)
+        if hi_idx < len(grid) - 1 and accepted(mid := 0.5 * (upper + grid[hi_idx + 1]))[0]:
+            upper = float(mid)
+        bounds = (lower, upper)
+    flags["fallback"] = any(fell_back for _, fell_back, _ in at.values())
+    return bounds, flags, at
+
+
+def _bound_against_per_theta(engine, fit, j, rs, alpha, monkeypatch):
+    """Run the two-sided bound and check it against ``_per_theta_interval``.
+
+    The bounds and flags must be the oracle's. Every theta the bound
+    evaluates must be one the oracle evaluated, with the same paths, and
+    the bound's counts must be the oracle's over those thetas. Returns
+    the bound's diagnostics.
+    """
+    n, p = engine.X.shape
+    B = rs.w_b.shape[0]
+    bounds, flags, at = _per_theta_interval(engine, fit, j, rs, alpha)
+    seen, bracketed = {}, _PathSweep.bracketed
+
+    def record(sweep, theta):
+        seen[theta] = bracketed(sweep, theta)
+        return seen[theta]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_PathSweep, "bracketed", record)
+        report = hybrid_ci_two_sided(engine, fit, j, rs, alpha)
+    diag = report.diagnostics
+    assert (report.lower, report.upper) == bounds
+    edges = ("clipped_low", "clipped_high", "empty_region")
+    assert {key: diag[key] for key in edges} == {key: flags[key] for key in edges}
+    assert bool(diag["fallbacks"]) == flags["fallback"]
+    assert set(seen) <= set(at)
+    for theta, (sel, resid, m_actual) in seen.items():
+        want_sel, want_resid, want_m = at[theta][0]
+        assert np.array_equal(m_actual, want_m)
+        assert np.array_equal(sel, want_sel)
+        assert np.array_equal(hdbic(resid, n, p), hdbic(want_resid, n, p))
+    assert diag["evaluations"] == len(seen)
+    assert diag["paths"] + diag["paths_reused"] == len(seen) * B
+    assert diag["fallbacks"] == sum(at[theta][1] for theta in seen)
+    assert diag["failures"] == sum(at[theta][2] for theta in seen)
+    pairs, conditioned = _statistic_counts([at[theta][0] for theta in seen], j, n, p)
+    assert diag["statistics"] == pairs
+    assert diag["statistics"] + diag["statistics_reused"] == conditioned
+    return diag
+
+
+def _strong_signal_problem(B):
+    """Three strong columns of six, n = 150, i.i.d. Gaussian resampled
+    disturbances fed straight into the resample set; returns the two-sided
+    engine, its fit, the first selected column and the resample set."""
+    rng = np.random.default_rng(7)
+    n, p = 150, 6
+    X = rng.standard_normal((n, p))
+    Y = X @ np.array([1.2, -0.9, 0.7, 0.0, 0.0, 0.0]) + rng.standard_normal(n)
+    engine = StatisticEngine(X, StatConfig(kmax=1, q=0, side=SIDE_TWO))
+    fit = engine.fit(Y)
+    w_tilde = Y - X[:, fit.j_hat] @ fit.estimate.beta_tilde
+    rs = ResampleSet(
+        j_hat=fit.j_hat, beta_tilde=fit.estimate.beta_tilde.copy(),
+        j_plus=fit.j_hat, w_tilde=w_tilde, eps_hat=w_tilde,
+        w_b=rng.standard_normal((B, n)))
+    return engine, fit, int(fit.j_hat[0]), rs
+
+
+def _fixed_statistics(stats):
+    """A ``statistics_batch`` stub under which every resample conditions,
+    with the statistics ``stats`` in order."""
+    def fixed(Y_batch, jj, theta, paths=None):
+        b = Y_batch.shape[1]
+        return stats[:b].copy(), np.ones(b, dtype=bool), 0
+    return fixed
+
+
+def _two_sided_case(setting, rep, B=50):
+    """Replication ``rep`` of the 200x250 two-sided corpus of TestGridSweep:
+    its engine, fit and resample set."""
+    ds = generate(DgpConfig(setting=setting, n=200, p=250, seed=300 + rep),
+                  make_beta(250))
+    engine = StatisticEngine(ds.X, StatConfig(kmax=5, q=1, side=SIDE_TWO))
+    fit = engine.fit(ds.Y)
+    rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=B, seed=rep)
+    return engine, fit, rs
 
 
 class TestGridSweep:
-    """Reused paths along theta against recomputation at every theta."""
+    """The scans from both grid ends against recomputation at every theta."""
 
     @pytest.mark.parametrize("setting", ["IID", "AR", "LAI"])
-    def test_sweep_matches_per_theta_recomputation(self, setting):
-        n, p, B, alpha = 200, 250, 50, 0.1
-        reused = 0
+    def test_sweep_matches_per_theta_recomputation(self, setting, monkeypatch):
+        B, alpha = 50, 0.1
+        reused = evaluated = 0
         for rep in range(7):
-            ds = generate(DgpConfig(setting=setting, n=n, p=p, seed=300 + rep),
-                          make_beta(p))
-            engine = StatisticEngine(ds.X, StatConfig(kmax=5, q=1, side=SIDE_TWO))
-            fit = engine.fit(ds.Y)
-            rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=B, seed=rep)
+            engine, fit, rs = _two_sided_case(setting, rep, B)
             j = int(fit.j_hat[rep % len(fit.j_hat)])
-            bounds, flags, fresh = _per_theta_interval(engine, fit, j, rs, alpha)
-
-            pos = fit.position(j)
-            sigma = float(fit.sigma[pos])
-            grid = np.array(list(fresh)[:GRID_POINTS])
-            sweep = _PathSweep(engine, rs, j, sigma)
-            sweep.grid(grid)
-            for theta in grid:
-                sel, resid, m_actual = sweep.bracketed(theta)
-                want_sel, want_resid, want_m = fresh[theta]
-                assert np.array_equal(m_actual, want_m)
-                assert np.array_equal(sel, want_sel)
-                assert np.array_equal(hdbic(resid, n, p), hdbic(want_resid, n, p))
-
-            report = hybrid_ci_two_sided(engine, fit, j, rs, alpha)
-            assert (report.lower, report.upper) == bounds
-            diag = report.diagnostics
-            assert {key: diag[key] for key in flags} == flags
-            assert diag["evaluations"] == len(fresh)
-            assert diag["paths"] + diag["paths_reused"] == len(fresh) * B
-            pairs, conditioned = _statistic_counts(fresh.values(), j, n, p)
-            assert diag["statistics"] == pairs
-            assert diag["statistics"] + diag["statistics_reused"] == conditioned
+            diag = _bound_against_per_theta(engine, fit, j, rs, alpha, monkeypatch)
             reused += diag["paths_reused"]
-        assert reused > 0.5 * 7 * GRID_POINTS * B
+            evaluated += diag["evaluations"] * B
+        assert reused > 0.5 * evaluated
+
+    @pytest.mark.parametrize("setting, col, fallbacks", [("IID", 1, 0), ("AR", 1, 1)])
+    def test_interior_scanned_while_the_fallback_flag_is_open(
+            self, setting, col, fallbacks, monkeypatch):
+        # No evaluation at either end of the hull or at its midpoints falls
+        # back, so the fallback flag needs the interior: the IID bound
+        # scans all of it and finds no fallback, the AR one stops at its
+        # first.
+        engine, fit, rs = _two_sided_case(setting, 0)
+        diag = _bound_against_per_theta(engine, fit, col, rs, 0.1, monkeypatch)
+        assert diag["interior_scanned"]
+        assert diag["fallbacks"] == fallbacks
+        assert (diag["evaluations"] == GRID_POINTS + 2) is (fallbacks == 0)
+
+    @pytest.mark.parametrize("lookahead", [0, GRID_POINTS])
+    def test_lookahead_changes_only_the_paths_computed(self, lookahead, monkeypatch):
+        # The AR bound stops its interior scan early, so a longer
+        # lookahead computes paths past its stop.
+        engine, fit, rs = _two_sided_case("AR", 0)
+        want = hybrid_ci_two_sided(engine, fit, 1, rs, 0.1)
+        monkeypatch.setattr(hybrid, "_LOOKAHEAD", lookahead)
+        diag = _bound_against_per_theta(engine, fit, 1, rs, 0.1, monkeypatch)
+        got = hybrid_ci_two_sided(engine, fit, 1, rs, 0.1)
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+        counts = ("paths", "paths_reused")
+        assert {k: v for k, v in diag.items() if k not in counts} == \
+            {k: v for k, v in want.diagnostics.items() if k not in counts}
+
+    @pytest.mark.parametrize("top, flag, evaluations", [
+        (100.0, "clipped_low", 2), (-1.0, "empty_region", GRID_POINTS)])
+    def test_stubbed_clipped_and_empty_stop_early(self, top, flag, evaluations,
+                                                  monkeypatch):
+        # Every evaluation conditions on 40 statistics, half 0 and half
+        # `top`. With top = 100 every grid point but the estimate is
+        # accepted, so each scan stops at its first point and the flag is
+        # clipped; with top = -1 the quantiles (-1, 0) accept no point.
+        engine, fit, j, rs = _strong_signal_problem(40)
+        monkeypatch.setattr(engine, "statistics_batch",
+                            _fixed_statistics(np.tile([0.0, top], 20)))
+        diag = _bound_against_per_theta(engine, fit, j, rs, 0.1, monkeypatch)
+        assert diag[flag] and not diag["interior_scanned"]
+        assert diag["evaluations"] == evaluations
 
     def test_residual_cancelling_on_the_grid_recomputes(self, monkeypatch):
         # Resample b's response at theta is X[:, 1:5] c_b + (theta - c0_b)
@@ -481,15 +581,20 @@ class TestGridSweep:
         fit = PipelineFit(selection=SimpleNamespace(j_hat=np.array([0])),
                           estimate=SimpleNamespace(beta_tilde=np.zeros(1)),
                           sigma=np.ones(1))
+        # Conditioned statistics half 0 and half 1 (or normal quantiles
+        # where fewer than 10 condition) reject both grid ends, so the
+        # scans run inward over rescue points.
         seen, bracketed = {}, _PathSweep.bracketed
 
         def record(sweep, theta):
             seen[theta] = bracketed(sweep, theta)
             return seen[theta]
 
+        monkeypatch.setattr(engine, "statistics_batch",
+                            _fixed_statistics(np.tile([0.0, 1.0], B // 2)))
         monkeypatch.setattr(_PathSweep, "bracketed", record)
         hybrid_ci_two_sided(engine, fit, 0, rs, 0.1)
-        assert set(grid.tolist()) <= set(seen)
+        assert set(c0.tolist()) & set(seen)
         for theta, (sel, resid, _) in seen.items():
             Y_batch = _synthetic_batch(X, rs, 0, theta)
             want_sel, want_resid, _ = oga_path_batch(X, Y_batch, engine.kn)
@@ -522,21 +627,8 @@ class TestHybridTwoSided:
         # straight into the resample set: the resampled statistic is close
         # to standard normal, so the bounds should sit near the
         # normal-theory ones at B = 2000.
-        rng = np.random.default_rng(7)
-        n, p = 150, 6
-        X = rng.standard_normal((n, p))
-        beta = np.array([1.2, -0.9, 0.7, 0.0, 0.0, 0.0])
-        Y = X @ beta + rng.standard_normal(n)
-        engine = StatisticEngine(X, StatConfig(kmax=1, q=0, side=SIDE_TWO))
-        fit = engine.fit(Y)
-        j = int(fit.j_hat[0])
+        engine, fit, j, rs = _strong_signal_problem(2000)
         pos = fit.position(j)
-        w_tilde = Y - X[:, fit.j_hat] @ fit.estimate.beta_tilde
-        B = 2000
-        rs = ResampleSet(
-            j_hat=fit.j_hat, beta_tilde=fit.estimate.beta_tilde.copy(),
-            j_plus=fit.j_hat, w_tilde=w_tilde, eps_hat=w_tilde,
-            w_b=rng.standard_normal((B, n)))
         alpha = 0.1
         rep = hybrid_ci_two_sided(engine, fit, j, rs, alpha)
         sigma = float(fit.sigma[pos])
@@ -551,26 +643,10 @@ class TestHybridTwoSided:
         # statistics, half 0 and half `top`. The observed |statistic| is 4
         # at both grid ends: inside the quantiles (0, 100) there, outside
         # (0, 2).
-        rng = np.random.default_rng(7)
-        n, p = 150, 6
-        X = rng.standard_normal((n, p))
-        Y = X @ np.array([1.2, -0.9, 0.7, 0.0, 0.0, 0.0]) + rng.standard_normal(n)
-        engine = StatisticEngine(X, StatConfig(kmax=1, q=0, side=SIDE_TWO))
-        fit = engine.fit(Y)
-        j = int(fit.j_hat[0])
-        w_tilde = Y - X[:, fit.j_hat] @ fit.estimate.beta_tilde
-        rs = ResampleSet(
-            j_hat=fit.j_hat, beta_tilde=fit.estimate.beta_tilde.copy(),
-            j_plus=fit.j_hat, w_tilde=w_tilde, eps_hat=w_tilde,
-            w_b=rng.standard_normal((40, n)))
+        engine, fit, j, rs = _strong_signal_problem(40)
         for top, clipped in ((100.0, True), (2.0, False)):
-            stats = np.tile([0.0, top], 20)
-
-            def fixed(Y_batch, jj, theta, paths=None, stats=stats):
-                b = Y_batch.shape[1]
-                return stats[:b].copy(), np.ones(b, dtype=bool), 0
-
-            monkeypatch.setattr(engine, "statistics_batch", fixed)
+            monkeypatch.setattr(engine, "statistics_batch",
+                                _fixed_statistics(np.tile([0.0, top], 20)))
             rep = hybrid_ci_two_sided(engine, fit, j, rs, 0.1)
             assert rep.diagnostics["clipped_low"] is clipped
             assert rep.diagnostics["clipped_high"] is clipped

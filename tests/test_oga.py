@@ -297,6 +297,19 @@ class TestDirectionInterval:
         assert np.array_equal(sel, plain[0]) and np.array_equal(m_act, plain[2])
         assert np.array_equal(resid, plain[1], equal_nan=True)
 
+    def test_paths_of_minus_y_mirror_those_of_y(self, design):
+        # A downward grid scan reads y's paths from those of -y: the same
+        # numbers bit for bit, with C_d and the signs negated.
+        X, Yb, kn, d = design
+        sel, resid, m_act, found = _paths_along(X, Yb, kn, d)
+        msel, mresid, mm_act, mfound = _paths_along(X, -Yb, kn, d)
+        assert np.array_equal(msel, sel) and np.array_equal(mm_act, m_act)
+        assert np.array_equal(mresid, resid, equal_nan=True)
+        for key in ("rss", "d_d", "exact"):
+            assert np.array_equal(mfound[key], found[key], equal_nan=True)
+        for key in ("c_d", "sign"):
+            assert np.array_equal(mfound[key], -found[key], equal_nan=True)
+
     def test_path_and_residual_norms_hold_inside(self, design):
         # The path of y - t x_d is that of -y + t x_d, so the ends found
         # for -Yb check t below 0 as well.
