@@ -13,7 +13,7 @@ from .dgp import DgpConfig, SETTINGS, generate, load_dataset, make_beta, save_da
 from .harness import (METHODS, ExperimentConfig, check_options, default_alpha,
                       interval, run_experiment)
 from .hybrid import StatisticEngine
-from .inference import SIDE_ONE, SIDE_TWO, StatConfig
+from .inference import SIDE_ONE, SIDE_TWO, StatConfig, selected_ols
 from .resampler import generate_w
 
 
@@ -30,11 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--alpha", type=float, default=None,
                         help="tail mass; default 0.2 one-sided, 0.1 two-sided "
                              "(80%% nominal either way)")
-    shared.add_argument("--side", choices=(SIDE_ONE, SIDE_TWO), default=SIDE_ONE)
-    shared.add_argument("--q", type=int, default=1, help="HAC lag truncation")
-    shared.add_argument("--B", type=int, default=50, help="number of resamples")
+    shared.add_argument("--side", choices=(SIDE_ONE, SIDE_TWO), default=StatConfig.side)
+    shared.add_argument("--q", type=int, default=StatConfig.q, help="HAC lag truncation")
+    shared.add_argument("--B", type=int, default=ExperimentConfig.B,
+                        help="number of resamples")
     shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--kmax", type=int, default=5,
+    shared.add_argument("--kmax", type=int, default=StatConfig.kmax,
                         help="maximum number of factors scored")
 
     p_dgp = sub.add_parser("dgp", help="generate a synthetic dataset as CSV")
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sample size (repeat with --p for several cells)")
     p_sim.add_argument("--p", type=int, required=True, action="append")
     p_sim.add_argument("--reps", type=int, required=True)
-    p_sim.add_argument("--methods", default="t,iv,ps,hr")
+    p_sim.add_argument("--methods", default=",".join(METHODS))
     p_sim.add_argument("--workers", type=int, default=1, help="worker processes")
     p_sim.add_argument("--out", type=Path, required=True)
     return parser
@@ -87,13 +88,6 @@ def _cmd_dgp(args: argparse.Namespace) -> int:
     return 0
 
 
-def _estimate_sigma(X: np.ndarray, Y: np.ndarray, j_hat: np.ndarray) -> float:
-    X_J = X[:, j_hat]
-    beta, *_ = np.linalg.lstsq(X_J, Y, rcond=None)
-    dof = max(1, X.shape[0] - len(j_hat))
-    return float(np.sqrt(np.sum((Y - X_J @ beta) ** 2) / dof))
-
-
 def _cmd_ci(args: argparse.Namespace) -> int:
     if args.alpha is None:
         args.alpha = default_alpha(args.side)
@@ -110,16 +104,15 @@ def _cmd_ci(args: argparse.Namespace) -> int:
                                                   side=args.side))
         fit = engine.fit(ds.Y)
         j_hat = fit.selection.j_hat
-        rs = None
+        rs, sigma_ps = None, args.sigma
         if args.method == "hr" and len(j_hat):
             rs = generate_w(ds, j_hat, engine.factors.F_hat, args.B,
                             np.random.SeedSequence(args.seed), kmax=args.kmax)
+        if args.method == "ps" and sigma_ps is None and len(j_hat):
+            sigma_ps = selected_ols(ds.X, ds.Y, j_hat)[1]
     except (OSError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"ci: {exc}", file=sys.stderr)
         return 2
-    sigma_ps = args.sigma
-    if args.method == "ps" and sigma_ps is None and len(j_hat):
-        sigma_ps = _estimate_sigma(ds.X, ds.Y, j_hat)
 
     rows = []
     for order, j in enumerate(j_hat, start=1):

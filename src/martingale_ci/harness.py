@@ -95,10 +95,10 @@ class ExperimentConfig:
     out_dir: Path
     B: int = 50
     alpha: float | None = None
-    kmax: int = 5
-    q: int = 1
+    kmax: int = StatConfig.kmax
+    q: int = StatConfig.q
     methods: tuple[str, ...] = METHODS
-    side: str = SIDE_ONE
+    side: str = StatConfig.side
     seed: int = 0
     workers: int = 1
 
@@ -109,6 +109,9 @@ class ExperimentConfig:
             object.__setattr__(self, "alpha", default_alpha(self.side))
         check_options(self.methods, self.side, self.alpha, self.B, self.kmax,
                       self.q, self.seed)
+        repeated = sorted({size for size in self.sizes if self.sizes.count(size) > 1})
+        if repeated:
+            raise ValueError(f"repeated sizes (n, p): {repeated}")
         for n, p in self.sizes:
             DgpConfig(setting=self.setting, n=n, p=p, seed=self.seed)
             make_beta(p)

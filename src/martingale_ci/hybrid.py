@@ -105,14 +105,14 @@ class StatisticEngine:
 
     def fit(self, Y: np.ndarray) -> PipelineFit:
         """Selection, projected estimate, and sandwich variance for one response."""
-        sel = oga_hdbic(self.X, Y, self.kn)
+        sel = oga_hdbic(self.X, Y)
         est, V = self.estimate(sel.j_hat, Y)
         return PipelineFit(selection=sel, estimate=est,
                            sigma=np.sqrt(np.diag(V) / self.n))
 
     def statistics_batch(
         self, Y_batch: np.ndarray, j: int, theta: float,
-        paths: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        paths: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """Statistic for each column of Y_batch, with a selection mask.
 
@@ -121,12 +121,8 @@ class StatisticEngine:
         guard or whose variance is not positive carry NaN (still marked
         selected) and count as failures. Resamples that select the same
         set are estimated together, with one factorization. ``paths`` are
-        the greedy paths of Y_batch as ``oga_path_batch`` returns them, if
-        already known.
+        the greedy paths of Y_batch as ``oga_path_batch`` returns them.
         """
-        if paths is None:
-            paths = oga_path_batch(self.X, Y_batch, self.kn, self.col_norms,
-                                   self.gram)
         out = np.full(Y_batch.shape[1], self.cfg.sentinel)
         selected = np.zeros(Y_batch.shape[1], dtype=bool)
         groups: dict[tuple, list[int]] = {}

@@ -68,7 +68,7 @@ def hac_meat(G: np.ndarray, q: int) -> np.ndarray:
     return S
 
 
-def covariance(est: IvEstimate, q: int = 1) -> np.ndarray:
+def covariance(est: IvEstimate, q: int) -> np.ndarray:
     """HAC sandwich covariance V = n (X~'X~)^-1 S (X~'X~)^-1.
 
     The meat S is :func:`hac_meat` of g_t = w_t x~_t up to lag q, the bread
@@ -98,6 +98,18 @@ class PipelineFit:
         return int(hits[0]) if len(hits) else None
 
 
+def selected_ols(X: np.ndarray, Y: np.ndarray,
+                 j_hat: np.ndarray) -> tuple[IvEstimate, float]:
+    """The guarded fit of Y on the columns j_hat and its residual scale
+    sqrt(rss / (n - |J|)), for the t interval and ``ci``'s ``ps`` bound."""
+    n, m = X.shape[0], len(j_hat)
+    if m >= n:
+        raise ValueError("need |J| < n for a residual scale")
+    X_J = X[:, j_hat]
+    est = fit_selected(X_J, X_J, Y)
+    return est, math.sqrt(float(np.sum(est.residuals ** 2)) / (n - m))
+
+
 def t_interval(
     X: np.ndarray,
     Y: np.ndarray,
@@ -112,15 +124,8 @@ def t_interval(
     selected set; kept as a baseline.
     """
     j_hat = np.asarray(j_hat, dtype=int)
-    n = X.shape[0]
-    m = len(j_hat)
-    if m >= n:
-        raise ValueError("need |J| < n for the t interval")
-    X_J = X[:, j_hat]
-    est = fit_selected(X_J, X_J, Y)
-    rss = float(np.sum(est.residuals ** 2))
-    dof = n - m
-    s = math.sqrt(rss / dof)
+    est, s = selected_ols(X, Y, j_hat)
+    dof = X.shape[0] - len(j_hat)
     pos = int(np.flatnonzero(j_hat == j)[0])
     c_jj = float(est.inv_gram[pos, pos])
     half = stdtrit(dof, 1.0 - alpha) * s * math.sqrt(c_jj)

@@ -6,7 +6,7 @@ projected design, and the residuals are taken against the *unprojected*
 columns (they keep the factor component, which the resampler needs).
 :func:`fit_selected` is the one guarded least-squares fit behind every
 selected-set estimate: ``StatisticEngine.estimate``, the cross-fit
-(:func:`iv_estimate`), ``t_interval`` and ``ps_interval``.
+(:func:`iv_estimate`), ``generate_w``, ``t_interval`` and ``ps_interval``.
 """
 from __future__ import annotations
 
@@ -19,6 +19,9 @@ from .factor_model import complement_projection
 
 # Beyond this condition number the projected gram is treated as singular.
 CONDITION_LIMIT = 1e12
+# A projected column that keeps less than this share of its norm is the
+# projection's rounding, not a column: its set is treated as singular.
+PROJECTED_NORM_FLOOR = 1e-8
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -71,14 +74,19 @@ def fit_selected(x_tilde: np.ndarray, X_J: np.ndarray, Y: np.ndarray) -> IvEstim
 
     One guarded factorization of x_tilde'x_tilde (:func:`factor_gram`,
     ``SingularGramError`` otherwise) gives the coefficients and the inverse
-    gram; the residuals are Y - X_J beta. ``Y`` is one response (n,) or a
+    gram; the residuals are Y - X_J beta. A column of x_tilde that keeps
+    less than ``PROJECTED_NORM_FLOOR`` of its norm in X_J raises it too
+    (condition inf). ``Y`` is one response (n,) or a
     block (n, b) of responses, giving coefficients (m,) or (m, b). An
     empty set gives empty coefficients and residuals equal to Y.
     """
     m = x_tilde.shape[1]
     beta, inv_gram = np.zeros((0,) + Y.shape[1:]), np.zeros((0, 0))
     if m:
-        factor = factor_gram(x_tilde.T @ x_tilde)
+        gram = x_tilde.T @ x_tilde
+        if not (np.diag(gram) >= PROJECTED_NORM_FLOOR**2 * (X_J**2).sum(axis=0)).all():
+            raise SingularGramError(np.inf)
+        factor = factor_gram(gram)
         beta = cho_solve(factor, x_tilde.T @ Y, check_finite=False)
         inv_gram = cho_solve(factor, np.eye(m), check_finite=False)
     return IvEstimate(beta_tilde=beta, x_tilde=x_tilde, inv_gram=inv_gram,

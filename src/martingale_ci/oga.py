@@ -139,13 +139,10 @@ def hdbic(residual_norms: np.ndarray, n: int, p: int) -> int:
     return int(m) if rn.ndim == 1 else m
 
 
-def oga_hdbic(X: np.ndarray, Y: np.ndarray, kn: int | None = None) -> SelectionResult:
-    """Full-path greedy selection truncated at the HDBIC argmin."""
-    X = np.asarray(X, dtype=float)
-    n, p = X.shape
-    if kn is None:
-        kn = default_iterations(n, p)
-    path = oga(X, Y, kn)
+def oga_hdbic(X: np.ndarray, Y: np.ndarray) -> SelectionResult:
+    """Greedy path of ``default_iterations`` steps truncated at the HDBIC argmin."""
+    n, p = np.shape(X)
+    path = oga(X, Y, default_iterations(n, p))
     if path.m == 0:
         return path
     m = hdbic(path.residual_norms, n, p)

@@ -17,10 +17,9 @@ import numpy as np
 from .block_bootstrap import double_block_bootstrap
 from .dgp import Dataset
 from .factor_model import complement_projection, estimate_factors
-from .iv_estimator import iv_estimate
+from .iv_estimator import fit_selected, iv_estimate
 from .oga import oga, oga_hdbic
 
-DEFAULT_KMAX = 5
 MIN_SPLIT_LENGTH = 8
 
 
@@ -73,7 +72,7 @@ def combine_beta(
 def combined_estimate(
     ds: Dataset,
     j_hat: np.ndarray,
-    kmax: int = DEFAULT_KMAX,
+    kmax: int,
 ) -> tuple[np.ndarray, dict]:
     """Cross-fitted split-sample estimate for the selected set.
 
@@ -111,14 +110,15 @@ def generate_w(
     F_hat: np.ndarray | None,
     B: int,
     seed: int | np.random.SeedSequence,
-    kmax: int = DEFAULT_KMAX,
+    kmax: int,
 ) -> ResampleSet:
     """Build the combined estimate and B block-resampled disturbances.
 
     The error series is what remains of the combined-fit residual after
     the factor-complement columns that both halves select for it are
-    regressed out; each half is regressed on the columns the *other* half
-    selected before restricting to that common set.
+    regressed out; each half is regressed (by the guarded ``fit_selected``)
+    on the columns the *other* half selected before restricting to that
+    common set.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -128,7 +128,6 @@ def generate_w(
     beta_tilde, diag = combined_estimate(ds, j_hat, kmax=kmax)
     j_plus = j_hat[beta_tilde != 0.0]
     w_tilde = Y - X[:, j_hat] @ beta_tilde
-    degenerate = len(j_plus) == 0
 
     # The factor-complement of everything not pinned down by the combined
     # estimate. Factor columns do not compete: a factor column that wins
@@ -146,9 +145,9 @@ def generate_w(
         w_half = w_tilde[rows]
         if len(j_w) == 0:
             return w_half.copy()
-        coef, *_ = np.linalg.lstsq(xf[rows][:, other], w_half, rcond=None)
-        lookup = {int(c): coef[i] for i, c in enumerate(other)}
-        coef_jw = np.array([lookup[int(c)] for c in j_w])
+        x_other = xf[rows][:, other]
+        coef = fit_selected(x_other, x_other, w_half).beta_tilde
+        coef_jw = coef[[other.tolist().index(c) for c in j_w.tolist()]]
         return w_half - xf[rows][:, j_w] @ coef_jw
 
     eps_train = _eps_half(train, sel_w_test.j_hat)
@@ -166,9 +165,7 @@ def generate_w(
     diag.update({
         "j_w_train": sel_w_train.j_hat.copy(),
         "j_w_test": sel_w_test.j_hat.copy(),
-        "j_w": j_w,
         "empty_j_w": len(j_w) == 0,
-        "degenerate_combined": degenerate,
     })
     return ResampleSet(j_hat=j_hat, beta_tilde=beta_tilde, j_plus=j_plus,
                        w_tilde=w_tilde, eps_hat=eps_hat, w_b=w_b,

@@ -16,6 +16,8 @@ import martingale_ci
 from martingale_ci.cli import _build_parser, main
 from martingale_ci.dgp import Dataset, load_dataset, save_dataset
 from martingale_ci.harness import ExperimentConfig, run_experiment
+from martingale_ci.hybrid import StatisticEngine
+from martingale_ci.inference import StatConfig, selected_ols
 from martingale_ci.resampler import MIN_SPLIT_LENGTH
 
 
@@ -182,6 +184,23 @@ class TestCiCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["iv", "hr"])
+    def test_saturated_factor_model_exits_2(self, tmp_path, capsys, method):
+        # With --kmax reaching p every column is projected away but for
+        # rounding; its gram passes the condition guard, the norm floor
+        # does not.
+        data = tmp_path / "iid.csv"
+        main(["dgp", "--setting", "IID", "--n", "40", "--p", "12",
+              "--seed", "1", "--out", str(data)])
+        capsys.readouterr()
+        out = tmp_path / "ci.csv"
+        code = main(["ci", "--in", str(data), "--method", method, "--kmax", "12",
+                     "--B", "20", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "ci: projected gram matrix is singular (condition estimate inf)\n")
+        assert not out.exists()
+
     def test_factor_model_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         from martingale_ci import factor_model
 
@@ -238,6 +257,17 @@ class TestCiCommand:
         rows = list(csv.DictReader(out.open()))
         assert all(float(r["lower"]) <= float(r["upper"]) for r in rows)
         assert all(np.isfinite(float(r["upper"])) for r in rows)
+
+    def test_ps_without_sigma_takes_the_t_residual_scale(self, dataset_csv, tmp_path):
+        ds = load_dataset(dataset_csv)
+        j_hat = StatisticEngine(ds.X, StatConfig()).fit(ds.Y).j_hat
+        _, scale = selected_ols(ds.X, ds.Y, j_hat)
+        given, fallback = tmp_path / "given.csv", tmp_path / "fallback.csv"
+        assert main(["ci", "--in", str(dataset_csv), "--method", "ps",
+                     "--sigma", repr(scale), "--out", str(given)]) == 0
+        assert main(["ci", "--in", str(dataset_csv), "--method", "ps",
+                     "--out", str(fallback)]) == 0
+        assert fallback.read_bytes() == given.read_bytes()
 
     def test_ps_two_sided_rejected(self, dataset_csv, tmp_path):
         code = main(["ci", "--in", str(dataset_csv), "--method", "ps",
@@ -363,6 +393,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("sizes, message", [
         (["--n", "60", "--p", "5"], "need p >= 10 to place 10 nonzero entries, got 5"),
         (["--n", "60", "--p", "30", "--n", "3", "--p", "30"], "n must be >= 4"),
+        (["--n", "40", "--p", "12", "--n", "40", "--p", "12"],
+         "repeated sizes (n, p): [(40, 12)]"),
     ])
     def test_bad_size_rejected(self, tmp_path, capsys, no_pool, sizes, message):
         code = main(["simulate", "--setting", "IID", *sizes, "--reps", "1",

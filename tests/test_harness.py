@@ -103,6 +103,15 @@ class TestRunReplication:
         assert [(r["kind"], r["m"], r["amse"], r["flags"]) for r in rows] == \
             [("rep", "", "", "failed:SingularGramError")]
 
+    def test_saturated_factor_model_becomes_a_flag(self):
+        # kmax = p projects every column away but for rounding, whose gram
+        # passes the condition guard: the norm floor flags the replication
+        # instead of reporting bounds of +-1e26.
+        res = run_replication("IID", 40, 12, 0, 0, 20, 0.2, 12, 1,
+                              ("t", "iv", "hr"), "one")
+        assert res["flags"] == "failed:SingularGramError"
+        assert res["intervals"] == [] and math.isnan(res["amse"])
+
     def test_observed_fit_runs_once(self, monkeypatch):
         # Every hr bound reuses the replication's observed fit.
         calls = []

@@ -32,6 +32,13 @@ def small_problem(seed=0, n=120, p=30, setting="LAI"):
     return ds, beta
 
 
+def batch_statistics(engine, Y_batch, j, theta):
+    """``engine.statistics_batch`` on the greedy paths of Y_batch."""
+    paths = oga_path_batch(engine.X, Y_batch, engine.kn, engine.col_norms,
+                           engine.gram)
+    return engine.statistics_batch(Y_batch, j, theta, paths)
+
+
 class TestStatisticEngine:
     def test_batch_matches_scalar_statistic(self):
         ds, _ = small_problem(1)
@@ -40,7 +47,7 @@ class TestStatisticEngine:
         fit = engine.fit(ds.Y)
         j = int(fit.j_hat[0])
         theta = 0.25
-        batch, selected, failures = engine.statistics_batch(ds.Y[:, None], j, theta)
+        batch, selected, failures = batch_statistics(engine, ds.Y[:, None], j, theta)
         scalar = eval_statistic(ds.X, ds.Y, j, theta, cfg)
         assert failures == 0
         assert np.isclose(batch[0], scalar, rtol=1e-6)
@@ -53,7 +60,7 @@ class TestStatisticEngine:
         X = ds.X.copy()
         X[:, dead] = 0.0
         engine_dead = StatisticEngine(X, cfg)
-        stats, selected, _ = engine_dead.statistics_batch(ds.Y[:, None], dead, 0.0)
+        stats, selected, _ = batch_statistics(engine_dead, ds.Y[:, None], dead, 0.0)
         assert stats[0] == -np.inf
         assert not selected[0]
 
@@ -72,14 +79,14 @@ class TestStatisticEngine:
     def test_ill_conditioned_gram_fails_in_batch_as_in_fit(self, ill_conditioned_design):
         X, Y = ill_conditioned_design
         engine = StatisticEngine(X, StatConfig(kmax=1, q=1, side=SIDE_ONE))
-        J = oga_hdbic(X, Y, engine.kn).j_hat
+        J = oga_hdbic(X, Y).j_hat
         xt = engine.x_tilde[:, J]
         eigs = np.linalg.eigvalsh(xt.T @ xt)
         assert sorted(J.tolist()) == [0, 1]
         assert eigs[-1] / eigs[0] > CONDITION_LIMIT
         with pytest.raises(SingularGramError):
             engine.fit(Y)
-        stats, selected, failures = engine.statistics_batch(Y[:, None], 0, 0.0)
+        stats, selected, failures = batch_statistics(engine, Y[:, None], 0, 0.0)
         assert np.isnan(stats[0]) and selected[0]
         assert failures == 1
 
@@ -93,7 +100,7 @@ class TestStatisticEngine:
         with pytest.raises(SingularGramError):
             engine.fit(ds.Y)
         Yb = np.column_stack([ds.Y, ds.Y])
-        stats, selected, failures = engine.statistics_batch(Yb, j, 0.0)
+        stats, selected, failures = batch_statistics(engine, Yb, j, 0.0)
         assert np.isnan(stats).all() and selected.all()
         assert failures == 2
 
@@ -105,13 +112,13 @@ class TestStatisticEngine:
         engine = StatisticEngine(ds.X, cfg)
         fit = engine.fit(ds.Y)
         j = int(fit.j_hat[0])
-        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=40, seed=3)
+        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=40, seed=3, kmax=5)
         theta = float(fit.estimate.beta_tilde[0] - fit.sigma[0])
         Yb = _synthetic_batch(ds.X, rs, j, theta)
         sel, rn, m = oga_path_batch(ds.X, Yb, engine.kn)
         sets = {tuple(sel[b, :hdbic(rn[b, :m[b]], ds.n, ds.p)]) for b in range(40)}
         assert len(sets) >= 3
-        stats, selected, failures = engine.statistics_batch(Yb, j, theta)
+        stats, selected, failures = batch_statistics(engine, Yb, j, theta)
         assert failures == 0 and selected.sum() >= 30
         for b in range(40):
             scalar = eval_statistic(ds.X, Yb[:, b], j, theta, cfg)
@@ -129,7 +136,7 @@ class TestStatisticConstantInTheta:
         ds, _ = small_problem(8, n=120, p=40, setting=setting)
         engine = StatisticEngine(ds.X, StatConfig(kmax=3, q=1, side=SIDE_ONE))
         fit = engine.fit(ds.Y)
-        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=20, seed=8)
+        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=20, seed=8, kmax=5)
         J = fit.j_hat
         for pos, j in enumerate(J.tolist()):
             thetas = fit.estimate.beta_tilde[pos] + fit.sigma[pos] * np.linspace(-4, 4, 7)
@@ -196,7 +203,7 @@ class TestHybridOneSided:
         self.engine = StatisticEngine(self.ds.X, self.cfg)
         self.fit = self.engine.fit(self.ds.Y)
         self.rs = generate_w(self.ds, self.fit.j_hat,
-                             self.engine.factors.F_hat, B=40, seed=9)
+                             self.engine.factors.F_hat, B=40, seed=9, kmax=5)
 
     def test_report_structure(self):
         j = int(self.fit.j_hat[0])
@@ -230,7 +237,7 @@ class TestHybridOneSided:
     def test_empty_conditioning_never_rejects(self, monkeypatch):
         j = int(self.fit.j_hat[0])
 
-        def starve(Y_batch, jj, theta, paths=None):
+        def starve(Y_batch, jj, theta, paths):
             b = Y_batch.shape[1]
             return np.full(b, -np.inf), np.zeros(b, dtype=bool), 0
 
@@ -314,7 +321,7 @@ class TestBracketReuse:
                           make_beta(p))
             engine = StatisticEngine(ds.X, StatConfig(kmax=5, q=1, side=SIDE_ONE))
             fit = engine.fit(ds.Y)
-            rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=B, seed=rep)
+            rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=B, seed=rep, kmax=5)
             j = int(fit.j_hat[rep % len(fit.j_hat)])
             lower, flags, fresh = _per_theta_lower(engine, fit, j, rs, alpha)
 
@@ -488,7 +495,7 @@ def _strong_signal_problem(B):
 def _fixed_statistics(stats):
     """A ``statistics_batch`` stub under which every resample conditions,
     with the statistics ``stats`` in order."""
-    def fixed(Y_batch, jj, theta, paths=None):
+    def fixed(Y_batch, jj, theta, paths):
         b = Y_batch.shape[1]
         return stats[:b].copy(), np.ones(b, dtype=bool), 0
     return fixed
@@ -501,7 +508,7 @@ def _two_sided_case(setting, rep, B=50):
                   make_beta(250))
     engine = StatisticEngine(ds.X, StatConfig(kmax=5, q=1, side=SIDE_TWO))
     fit = engine.fit(ds.Y)
-    rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=B, seed=rep)
+    rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=B, seed=rep, kmax=5)
     return engine, fit, rs
 
 
@@ -532,6 +539,23 @@ class TestGridSweep:
         assert diag["interior_scanned"]
         assert diag["fallbacks"] == fallbacks
         assert (diag["evaluations"] == GRID_POINTS + 2) is (fallbacks == 0)
+
+    @pytest.mark.parametrize("short, reused", [(0.5, False), (2.0, True)])
+    def test_path_reused_only_a_margin_short_of_its_hold(self, short, reused):
+        # The path anchored at -3 holds for ``hold`` above it. A scan point
+        # ``short`` margins below that end reuses it only when it lies more
+        # than one margin below; otherwise it is recomputed there.
+        noise = 0.1 * np.random.default_rng(23).standard_normal(16)
+        y = lambda X: X[:, 1:4] @ [2.0, 1.0, 0.5] + noise
+        _, probe = TestBracketReuse._orthogonal_sweep(y)
+        seg = probe._compute(np.array([0]), np.array([-3.0]), 1)
+        hold = float(probe.seg["hold"][seg[0]])
+        _, sweep = TestBracketReuse._orthogonal_sweep(y)
+        assert sweep.margin == hybrid.REUSE_MARGIN > 0.0
+        thetas = np.array([-3.0, -3.0 + hold - short * sweep.margin])
+        assert list(sweep.scan(thetas)) == [0, 1]
+        assert sweep.paths == (1 if reused else 2)
+        assert (sweep.visits[thetas[1]][0] == sweep.visits[thetas[0]][0]) == reused
 
     @pytest.mark.parametrize("lookahead", [0, GRID_POINTS])
     def test_lookahead_changes_only_the_paths_computed(self, lookahead, monkeypatch):
@@ -659,7 +683,7 @@ class TestHybridTwoSided:
         ds, _ = small_problem(3, n=120, p=20, setting="IID")
         engine = StatisticEngine(ds.X, StatConfig(side=engine_side))
         fit = engine.fit(ds.Y)
-        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=30, seed=3)
+        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=30, seed=3, kmax=5)
         other = hybrid_ci_two_sided if engine_side == SIDE_ONE else hybrid_ci_one_sided
         with pytest.raises(ValueError, match="sided statistic"):
             other(engine, fit, int(fit.j_hat[0]), rs, 0.1)
@@ -682,7 +706,7 @@ class TestCallOrder:
         shared = StatisticEngine(ds.X, cfg)
         fit = shared.fit(ds.Y)
         assert len(fit.j_hat) >= 3
-        rs = generate_w(ds, fit.j_hat, shared.factors.F_hat, B=50, seed=5)
+        rs = generate_w(ds, fit.j_hat, shared.factors.F_hat, B=50, seed=5, kmax=5)
         after = [bound(shared, fit, int(j), rs, alpha) for j in fit.j_hat]
         for j, want in zip(fit.j_hat[1:], after[1:]):
             fresh = StatisticEngine(ds.X, cfg)

@@ -4,6 +4,7 @@ import pytest
 import martingale_ci.resampler as resampler_mod
 from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.factor_model import estimate_factors
+from martingale_ci.iv_estimator import SingularGramError
 from martingale_ci.oga import SelectionResult, oga_hdbic
 from martingale_ci.resampler import (
     combine_beta,
@@ -65,7 +66,7 @@ class TestGenerateW:
         self.ds, self.beta = lai_dataset(7)
         self.sel = oga_hdbic(self.ds.X, self.ds.Y)
         self.F = estimate_factors(self.ds.X, 5).F_hat
-        self.rs = generate_w(self.ds, self.sel.j_hat, self.F, B=8, seed=11)
+        self.rs = generate_w(self.ds, self.sel.j_hat, self.F, B=8, seed=11, kmax=5)
 
     def test_shapes(self):
         assert self.rs.w_b.shape == (8, self.ds.n)
@@ -94,25 +95,25 @@ class TestGenerateW:
         assert set(self.sel.j_hat[~zero].tolist()) == set(self.rs.j_plus.tolist())
 
     def test_determinism(self):
-        again = generate_w(self.ds, self.sel.j_hat, self.F, B=8, seed=11)
+        again = generate_w(self.ds, self.sel.j_hat, self.F, B=8, seed=11, kmax=5)
         assert np.array_equal(self.rs.w_b, again.w_b)
         assert np.array_equal(self.rs.beta_tilde, again.beta_tilde)
 
     def test_identity_bootstrap_reproduces_w_tilde(self, monkeypatch):
         monkeypatch.setattr(resampler_mod, "double_block_bootstrap",
                             lambda eps, rng: eps.copy())
-        rs = generate_w(self.ds, self.sel.j_hat, self.F, B=1, seed=3)
+        rs = generate_w(self.ds, self.sel.j_hat, self.F, B=1, seed=3, kmax=5)
         assert np.allclose(rs.w_b[0], rs.w_tilde, atol=1e-12)
 
     def test_empty_common_selection_uses_w_tilde(self, monkeypatch):
         calls = {"n": 0}
         real = resampler_mod.oga_hdbic
 
-        def fake(X, Y, kn=None):
+        def fake(X, Y):
             # The only oga_hdbic calls inside generate_w are the
             # residual-structure selections; force them to pick disjoint
             # singletons so the intersection is empty.
-            res = real(X, Y, kn)
+            res = real(X, Y)
             calls["n"] += 1
             j = calls["n"] % X.shape[1]
             return SelectionResult(
@@ -121,9 +122,26 @@ class TestGenerateW:
                 residual_norms=res.residual_norms[:1], m=1)
 
         monkeypatch.setattr(resampler_mod, "oga_hdbic", fake)
-        rs = generate_w(self.ds, self.sel.j_hat, self.F, B=2, seed=5)
+        rs = generate_w(self.ds, self.sel.j_hat, self.F, B=2, seed=5, kmax=5)
         assert rs.diagnostics["empty_j_w"]
         assert np.allclose(rs.eps_hat, rs.w_tilde)
+
+    def test_singular_half_selection_raises(self, monkeypatch):
+        # Both residual-structure selections hold a column twice: each
+        # half's fit on the other half's columns is singular, and the
+        # guarded fit says so rather than returning a minimum-norm fit.
+        real = resampler_mod.oga_hdbic
+
+        def repeated(X, Y):
+            res = real(X, Y)
+            return SelectionResult(
+                j_hat=np.array([0, 0, 1]), Q=res.Q, R=res.R, beta_q=res.beta_q,
+                beta_oga=res.beta_oga, residual_norms=res.residual_norms,
+                m=3)
+
+        monkeypatch.setattr(resampler_mod, "oga_hdbic", repeated)
+        with pytest.raises(SingularGramError):
+            generate_w(self.ds, self.sel.j_hat, self.F, B=2, seed=5, kmax=5)
 
     def test_projected_columns_orthogonal_to_factors(self):
         comp = np.setdiff1d(np.arange(self.ds.p), self.rs.j_plus)
@@ -138,7 +156,7 @@ class TestGenerateW:
         ds = generate(DgpConfig(setting="IID", n=2000, p=12, seed=3), beta)
         j_hat = np.arange(10)
         F = estimate_factors(ds.X, 3).F_hat
-        rs = generate_w(ds, j_hat, F, B=1, seed=1)
+        rs = generate_w(ds, j_hat, F, B=1, seed=1, kmax=5)
         se = rs.eps_hat.std() / np.sqrt(len(rs.eps_hat))
         assert abs(rs.eps_hat.mean()) < 4 * se
 
@@ -148,7 +166,7 @@ class TestCombinedEstimate:
         beta = make_beta(40)
         ds = generate(DgpConfig(setting="IID", n=400, p=40, seed=21), beta)
         sel = oga_hdbic(ds.X, ds.Y)
-        bt, diag = combined_estimate(ds, sel.j_hat)
+        bt, diag = combined_estimate(ds, sel.j_hat, kmax=5)
         for pos, j in enumerate(sel.j_hat):
             if beta[j] >= 0.4:
                 assert abs(bt[pos] - beta[j]) < 0.2
