@@ -10,11 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from .dgp import DgpConfig, SETTINGS, generate, load_dataset, make_beta, save_dataset
-from .harness import (METHODS, ExperimentConfig, check_options, default_alpha,
-                      interval, run_experiment)
-from .hybrid import StatisticEngine
-from .inference import SIDE_ONE, SIDE_TWO, StatConfig, selected_ols
-from .resampler import generate_w
+from .harness import (METHODS, ExperimentConfig, bounds, check_options,
+                      default_alpha, observe, run_experiment)
+from .inference import SIDE_ONE, SIDE_TWO, StatConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,39 +89,26 @@ def _cmd_dgp(args: argparse.Namespace) -> int:
 def _cmd_ci(args: argparse.Namespace) -> int:
     if args.alpha is None:
         args.alpha = default_alpha(args.side)
+    methods = (args.method,)
+    cfg = StatConfig(kmax=args.kmax, q=args.q, side=args.side)
     try:
-        check_options((args.method,), args.side, args.alpha, args.B, args.kmax,
+        check_options(methods, args.side, args.alpha, args.B, args.kmax,
                       args.q, args.seed, args.sigma)
         _check_out_dir(args.out)
-    except ValueError as exc:
-        print(f"ci: {exc}", file=sys.stderr)
-        return 2
-    try:
         ds = load_dataset(args.input)
-        engine = StatisticEngine(ds.X, StatConfig(kmax=args.kmax, q=args.q,
-                                                  side=args.side))
-        fit = engine.fit(ds.Y)
-        j_hat = fit.selection.j_hat
-        rs, sigma_ps = None, args.sigma
-        if args.method == "hr" and len(j_hat):
-            rs = generate_w(ds, j_hat, engine.factors.F_hat, args.B,
-                            np.random.SeedSequence(args.seed), kmax=args.kmax)
-        if args.method == "ps" and sigma_ps is None and len(j_hat):
-            sigma_ps = selected_ols(ds.X, ds.Y, j_hat)[1]
+        _, rows = bounds(ds, observe(ds, methods, cfg), methods, cfg, args.alpha,
+                         args.B, args.seed, args.sigma)
     except (OSError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"ci: {exc}", file=sys.stderr)
         return 2
 
-    rows = []
-    for order, j in enumerate(j_hat, start=1):
-        lower, upper, flags = interval(args.method, int(j), ds, engine, fit,
-                                       args.alpha, rs, sigma_ps)
-        rows.append([int(j) + 1, args.method, lower, upper, order, flags])
     with args.out.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j", "method", "lower", "upper", "selected_order",
                          "flags"])
-        writer.writerows(rows)
+        writer.writerows([j + 1, method, lower, upper, order, flags]
+                         for order, (j, method, lower, upper, flags)
+                         in enumerate(rows, start=1))
     print(f"wrote {args.out} ({len(rows)} selected coefficients)")
     return 0
 

@@ -231,11 +231,20 @@ def save_dataset(ds: Dataset, path: str | Path) -> Path:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Read a dataset CSV written by :func:`save_dataset`."""
+    """Read a dataset CSV written by :func:`save_dataset`.
+
+    X and Y are C-contiguous copies, so their arithmetic is that of a
+    generated dataset; a non-finite entry raises ``ValueError``.
+    """
     path = Path(path)
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    Y = table[:, 0]
-    X = table[:, 1:]
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"{path}: non-finite {'y' if col == 0 else f'x{col}'} "
+                         f"in data row {row + 1}")
+    Y = np.ascontiguousarray(table[:, 0])
+    X = np.ascontiguousarray(table[:, 1:])
     truth = None
     meta: dict = {}
     sidecar = _meta_path(path)

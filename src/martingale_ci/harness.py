@@ -24,8 +24,8 @@ from .dgp import Dataset, DgpConfig, generate, make_beta
 from .hybrid import (MIN_RESAMPLES, StatisticEngine, hybrid_ci_one_sided,
                      hybrid_ci_two_sided)
 from .inference import (SIDE_ONE, SIDE_TWO, PipelineFit, StatConfig, iv_interval,
-                        t_interval)
-from .oga import oga_hdbic
+                        selected_ols, t_interval)
+from .oga import SelectionResult, oga_hdbic
 from .ps import InfeasibleTruncationError, ps_interval
 from .resampler import ResampleSet, combined_estimate, generate_w, halves
 
@@ -144,26 +144,54 @@ def derive_dataset_seed(master: int, rep: int) -> int:
     return int(np.random.SeedSequence([master, rep]).generate_state(1, np.uint64)[0])
 
 
-def interval(method: str, j: int, ds: Dataset, engine: StatisticEngine,
-             fit: PipelineFit, alpha: float, rs: ResampleSet | None = None,
+def observe(ds: Dataset, methods: tuple[str, ...], cfg: StatConfig) -> tuple:
+    """``(selection, engine, fit)`` of ``ds``: the engine and its observed fit
+    only when ``iv`` or ``hr`` reads them, else None and ``oga_hdbic``'s
+    selection, the one ``engine.fit`` makes."""
+    if not {"iv", "hr"} & set(methods):
+        return oga_hdbic(ds.X, ds.Y), None, None
+    engine = StatisticEngine(ds.X, cfg)
+    fit = engine.fit(ds.Y)
+    return fit.selection, engine, fit
+
+
+def bounds(ds: Dataset, observed: tuple, methods: tuple[str, ...], cfg: StatConfig,
+           alpha: float, B: int, seed, ps_sigma: float | None = None) -> tuple:
+    """The resample set and ``(j, method, lower, upper, flags)`` of every
+    selected column and method, for ``observed`` as :func:`observe` gives it.
+    ``hr`` resamples B disturbances from ``seed``; ``ps`` without a given
+    ``ps_sigma`` takes the residual scale of the fit on the selected columns.
+    """
+    selection, engine, _ = observed
+    j_hat, rs = selection.j_hat, None
+    if "hr" in methods and len(j_hat):
+        rs = generate_w(ds, j_hat, engine.factors.F_hat, B, seed, kmax=cfg.kmax)
+    if "ps" in methods and ps_sigma is None and len(j_hat):
+        ps_sigma = selected_ols(ds.X, ds.Y, j_hat)[1]
+    return rs, [(j, m, *interval(m, j, ds, *observed, cfg.side, alpha, rs, ps_sigma))
+                for j in map(int, j_hat) for m in methods]
+
+
+def interval(method: str, j: int, ds: Dataset, selection: SelectionResult,
+             engine: StatisticEngine | None, fit: PipelineFit | None, side: str,
+             alpha: float, rs: ResampleSet | None = None,
              ps_sigma: float | None = None) -> tuple[float, float, str]:
     """``(lower, upper, flags)`` of one method's bound on selected column j.
 
-    The side is the engine's and ``fit`` is ``engine.fit(ds.Y)``; ``hr``
-    needs the resample set ``rs`` and ``ps`` the noise scale ``ps_sigma``.
+    ``iv`` reads the observed ``fit``, ``hr`` also its engine (of this
+    ``side``) and the resample set ``rs``, ``ps`` the noise scale ``ps_sigma``.
     Flags: ``failed:<Exception>`` (bounds nan, inf), ``nonconverged``,
     ``empty`` (no grid point accepted), ``clipped`` (a grid end accepted),
     ``fallback`` (normal quantiles at some grid point or refinement
     midpoint), or ``ok``.
     """
-    side = engine.cfg.side
     try:
         if method == "t":
-            rep = t_interval(ds.X, ds.Y, fit.j_hat, j, alpha, side)
+            rep = t_interval(ds.X, ds.Y, selection.j_hat, j, alpha, side)
         elif method == "iv":
             rep = iv_interval(fit, j, alpha, side)
         elif method == "ps":
-            rep = ps_interval(ds.X, ds.Y, fit.selection, j, alpha, ps_sigma)
+            rep = ps_interval(ds.X, ds.Y, selection, j, alpha, ps_sigma)
         elif method != "hr":
             raise ValueError(f"unknown method {method!r}")
         else:
@@ -199,52 +227,39 @@ def run_replication(
 ) -> dict:
     """One full replication: dataset, selection, estimates, all intervals.
 
-    With no ``methods`` the replication is estimation only: the HDBIC
-    selection (the one ``StatisticEngine.fit`` makes) and the cross-fitted
-    combined estimate behind ``amse``, with no ``StatisticEngine``, so no
-    full-sample factor model and no projected estimate, which nothing it
-    reports reads. Failures of a single method for a single coefficient
-    are recorded in that row's flags; they never abort the replication.
-    Any other exception gives a replication with no intervals and no
-    ``amse``, flagged ``failed:<Exception>``; ``m`` is empty when the
-    selection itself did not finish. An invalid dataset configuration
-    still raises.
+    :func:`observe` and :func:`bounds`, as in ``ci``, with the setting's
+    ``ps`` scale; no ``methods`` leaves the selection and the cross-fit
+    behind ``amse``. A failure of one method on one coefficient flags its
+    row. Any other exception gives a replication with no intervals and no
+    ``amse``, flagged ``failed:<Exception>`` (``m`` empty when the selection
+    did not finish); an invalid dataset configuration still raises.
     """
     beta = make_beta(p)
     cfg = DgpConfig(setting=setting, n=n, p=p,
                     seed=derive_dataset_seed(master_seed, rep))
+    stat_cfg = StatConfig(kmax=kmax, q=q, side=side)
 
     out = {"rep": rep, "m": "", "amse": math.nan, "flags": "ok", "intervals": []}
     try:
         ds = generate(cfg, beta)
-        if methods:
-            engine = StatisticEngine(ds.X, StatConfig(kmax=kmax, q=q, side=side))
-            fit = engine.fit(ds.Y)
-            j_hat = fit.selection.j_hat
-        else:
-            j_hat = oga_hdbic(ds.X, ds.Y).j_hat
+        observed = observe(ds, methods, stat_cfg)
+        j_hat = observed[0].j_hat
         out["m"] = int(len(j_hat))
         if len(j_hat) == 0:
             out["flags"] = "degenerate"
             return out
+        rs, rows = bounds(ds, observed, methods, stat_cfg, alpha, B,
+                          np.random.SeedSequence([master_seed, rep, 1]),
+                          PS_SIGMA[setting])
         # hr's resample set carries the combined estimate the amse needs.
-        rs = (generate_w(ds, j_hat, engine.factors.F_hat, B,
-                         np.random.SeedSequence([master_seed, rep, 1]), kmax=kmax)
-              if "hr" in methods else None)
         beta_comb = (combined_estimate(ds, j_hat, kmax=kmax)[0] if rs is None
                      else rs.beta_tilde)
         err = beta_comb - beta[j_hat]
         out["amse"] = float(np.sqrt(np.mean(err**2)))
         if not np.any(beta_comb != 0.0):
             out["flags"] = "degenerate"
-
-        for j in j_hat:
-            j = int(j)
-            for method in methods:
-                lb, ub, flags = interval(method, j, ds, engine, fit, alpha, rs,
-                                         PS_SIGMA[setting])
-                out["intervals"].append((j, float(beta[j]), method, lb,
-                                         ub, flags))
+        out["intervals"] = [(j, float(beta[j]), method, lb, ub, flags)
+                            for j, method, lb, ub, flags in rows]
     except Exception as exc:
         # One replication is the unit of failure: the cell keeps running.
         log.exception("%s n=%d p=%d replication %d failed", setting, n, p, rep)

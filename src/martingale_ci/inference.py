@@ -57,12 +57,13 @@ def hac_meat(G: np.ndarray, q: int) -> np.ndarray:
     S = sum_t g_t g_t' + sum_{nu=1..q} (1 - nu/(q+1)) (Gamma_nu + Gamma_nu')
     with Gamma_nu = sum_t g_{t+nu} g_t'; q = 0 is the heteroskedasticity-
     robust (uncorrelated) meat. G may carry leading batch axes, (..., n, m).
+    Gamma_nu is exactly zero for nu >= n, so the sum stops at n - 1.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
     Gt = np.swapaxes(G, -1, -2)
     S = Gt @ G
-    for nu in range(1, q + 1):
+    for nu in range(1, min(q, G.shape[-2] - 1) + 1):
         A = Gt[..., nu:] @ G[..., :-nu, :]
         S = S + (1.0 - nu / (q + 1.0)) * (A + np.swapaxes(A, -1, -2))
     return S

@@ -15,7 +15,8 @@ import pytest
 import martingale_ci
 from martingale_ci.cli import _build_parser, main
 from martingale_ci.dgp import Dataset, load_dataset, save_dataset
-from martingale_ci.harness import ExperimentConfig, run_experiment
+from martingale_ci.harness import (PS_SIGMA, ExperimentConfig, derive_dataset_seed,
+                                   run_experiment, run_replication)
 from martingale_ci.hybrid import StatisticEngine
 from martingale_ci.inference import StatConfig, selected_ols
 from martingale_ci.resampler import MIN_SPLIT_LENGTH
@@ -175,8 +176,8 @@ class TestCiCommand:
         X, Y = ill_conditioned_design
         data = tmp_path / "singular.csv"
         save_dataset(Dataset(X=X, Y=Y), data)
-        out = tmp_path / "ci_t.csv"
-        code = main(["ci", "--in", str(data), "--method", "t", "--kmax", "1",
+        out = tmp_path / "ci_iv.csv"
+        code = main(["ci", "--in", str(data), "--method", "iv", "--kmax", "1",
                      "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
@@ -201,6 +202,48 @@ class TestCiCommand:
             "ci: projected gram matrix is singular (condition estimate inf)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["t", "ps"])
+    def test_saturated_factor_model_leaves_t_and_ps(self, tmp_path, monkeypatch,
+                                                    method):
+        # t and ps read only the selection: no engine, so no projected fit
+        # to fail, and --kmax changes nothing.
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"ci --method {method} built an engine")
+
+        monkeypatch.setattr(StatisticEngine, "__init__", refuse)
+        data = tmp_path / "iid.csv"
+        main(["dgp", "--setting", "IID", "--n", "40", "--p", "12",
+              "--seed", "1", "--out", str(data)])
+        saturated, default = tmp_path / "ci.csv", tmp_path / "ci_kmax5.csv"
+        assert main(["ci", "--in", str(data), "--method", method, "--kmax", "12",
+                     "--out", str(saturated)]) == 0
+        assert main(["ci", "--in", str(data), "--method", method,
+                     "--out", str(default)]) == 0
+        rows = list(csv.DictReader(saturated.open()))
+        assert len(rows) == 4
+        assert all(np.isfinite(float(r["lower"])) and r["flags"] == "ok"
+                   for r in rows)
+        assert saturated.read_bytes() == default.read_bytes()
+
+    def test_bounds_equal_the_simulation_records(self, tmp_path):
+        # A dgp-written replication gives ci the bounds simulate records.
+        data = tmp_path / "iid.csv"
+        main(["dgp", "--setting", "IID", "--n", "60", "--p", "80",
+              "--seed", str(derive_dataset_seed(0, 1)), "--out", str(data)])
+        res = run_replication("IID", 60, 80, 0, 1, 20, 0.2, 5, 1,
+                              ("t", "iv", "ps"), "one")
+        assert res["flags"] == "ok"
+        for method in ("t", "iv", "ps"):
+            out = tmp_path / f"ci_{method}.csv"
+            sigma = ["--sigma", repr(PS_SIGMA["IID"])] if method == "ps" else []
+            assert main(["ci", "--in", str(data), "--method", method, *sigma,
+                         "--out", str(out)]) == 0
+            got = [(int(r["j"]) - 1, float(r["lower"]), float(r["upper"]), r["flags"])
+                   for r in csv.DictReader(out.open())]
+            assert got == [(j, lb, ub, flags)
+                           for j, _, m, lb, ub, flags in res["intervals"]
+                           if m == method]
+
     def test_factor_model_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         from martingale_ci import factor_model
 
@@ -212,8 +255,8 @@ class TestCiCommand:
             raise np.linalg.LinAlgError("eigh did not converge")
 
         monkeypatch.setattr(factor_model, "eigh", broken)
-        out = tmp_path / "ci_t.csv"
-        code = main(["ci", "--in", str(data), "--method", "t", "--out", str(out)])
+        out = tmp_path / "ci_iv.csv"
+        code = main(["ci", "--in", str(data), "--method", "iv", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (
             "ci: eigendecomposition of the Gram matrix failed\n")
@@ -236,6 +279,8 @@ class TestCiCommand:
         (None, "input.csv"),
         ("y,x1,x2\n1,2,a\n3,4,5\n", "could not convert string 'a'"),
         ("y,x1,x2\n1,2,3\n3,4,5\n1,1,1\n", "need n >= 4 rows"),
+        ("y,x1,x2\n1,2,3\nnan,4,5\n1,1,1\n2,2,2\n", "non-finite y in data row 2"),
+        ("y,x1,x2\n1,2,3\n3,4,5\n1,1,inf\n2,2,2\n", "non-finite x2 in data row 3"),
     ])
     def test_unreadable_input_rejected(self, tmp_path, capsys, content, message):
         data = tmp_path / "input.csv"

@@ -198,18 +198,20 @@ class TestRunReplication:
 
 
 class TestEstimationOnly:
-    """A replication with no methods: selection and the cross-fit only."""
+    """A replication with no methods, or only t and ps: no projected fit."""
 
     def test_builds_no_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("an estimation-only replication built an engine")
+            raise AssertionError("a replication without iv or hr built an engine")
 
         monkeypatch.setattr(harness, "StatisticEngine", refuse)
-        for rep in range(3):
-            res = run_replication("LAI", 60, 80, 0, rep, 20, 0.2, 5, 1, (),
-                                  "one")
-            assert res["flags"] == "ok" and res["intervals"] == []
-            assert res["m"] >= 1 and math.isfinite(res["amse"])
+        for methods in ((), ("t",), ("ps",), ("t", "ps")):
+            for rep in range(3):
+                res = run_replication("LAI", 60, 80, 0, rep, 20, 0.2, 5, 1,
+                                      methods, "one")
+                assert res["flags"] == "ok", (methods, rep)
+                assert res["m"] >= 1 and math.isfinite(res["amse"])
+                assert len(res["intervals"]) == res["m"] * len(methods)
 
     @pytest.mark.parametrize("setting", ["IID", "LAI", "GARCH"])
     def test_matches_a_run_with_intervals(self, setting):
@@ -562,7 +564,8 @@ class TestTwoSidedHarness:
             return np.resize(stats, b), np.ones(b, dtype=bool), 0
 
         monkeypatch.setattr(engine, "statistics_batch", fixed)
-        lb, ub, flags = harness.interval("hr", int(fit.j_hat[0]), ds, engine,
-                                         fit, 0.1, rs)
+        lb, ub, flags = harness.interval("hr", int(fit.j_hat[0]), ds,
+                                         fit.selection, engine, fit, "two", 0.1,
+                                         rs)
         assert flags == flag
         assert (lb == ub) is (flag == "empty")

@@ -1,4 +1,5 @@
 import math
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,6 +56,30 @@ class TestCovariance:
         A = G[1:].T @ G[:-1]
         expect_S = gamma0 + 0.5 * (A + A.T)
         assert np.allclose(hac_meat(G, q=1), expect_S, atol=1e-12)
+
+    @pytest.mark.parametrize("q", [11, 12, 120])  # n - 1, n and 10 n
+    def test_lags_past_the_sample_add_nothing(self, q):
+        # The meat as its formula reads, over every lag up to q.
+        G = make_estimate(2, n=12).x_tilde
+        expect = G.T @ G
+        for nu in range(1, q + 1):
+            A = G[nu:].T @ G[:-nu]
+            expect = expect + (1.0 - nu / (q + 1.0)) * (A + A.T)
+        assert np.array_equal(hac_meat(G, q), expect)
+
+    def test_huge_lag_returns_at_once(self):
+        def too_slow(signum, frame):
+            raise TimeoutError("hac_meat looped over lags past the sample")
+
+        G = make_estimate(2, n=12).x_tilde
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(2)
+        try:
+            S = hac_meat(G, 10**9)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert np.array_equal(S, S.T) and np.all(np.isfinite(S))
 
     def test_scalar_hand_computation(self):
         n = 12

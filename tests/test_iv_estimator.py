@@ -170,7 +170,7 @@ class TestOneGuard:
     @pytest.mark.parametrize("method", ["t", "ps"])
     def test_interval_flags_the_failure(self, refused, method):
         ds, engine, fit = refused
-        lb, ub, flags = interval(method, int(fit.j_hat[0]), ds, engine, fit,
-                                 0.2, ps_sigma=1.0)
+        lb, ub, flags = interval(method, int(fit.j_hat[0]), ds, fit.selection,
+                                 None, None, "one", 0.2, ps_sigma=1.0)
         assert (np.isnan(lb), ub, flags) == (True, np.inf,
                                              "failed:SingularGramError")
