@@ -49,8 +49,8 @@ def check_options(methods: tuple[str, ...], side: str, alpha: float, B: int,
     """Raise ``ValueError`` naming the first option the methods cannot run with.
 
     The rules ``ci`` and ``simulate`` share, in the command-line flags'
-    names; ``ps_sigma`` is a given noise scale for ``ps`` (None when it is
-    estimated or fixed per setting).
+    names; ``ps_sigma`` is a given noise scale, which only ``ps`` reads
+    (None when it is estimated or fixed per setting).
     """
     bad = set(methods) - set(METHODS)
     if bad:
@@ -72,6 +72,8 @@ def check_options(methods: tuple[str, ...], side: str, alpha: float, B: int,
         raise ValueError("the ps method provides one-sided bounds only")
     if "hr" in methods and B < MIN_RESAMPLES:
         raise ValueError(f"the hr method needs --B >= {MIN_RESAMPLES}, got {B}")
+    if ps_sigma is not None and "ps" not in methods:
+        raise ValueError("--sigma is read by the ps method only")
     if ps_sigma is not None and not ps_sigma > 0.0:
         raise ValueError(f"--sigma must be positive, got {ps_sigma}")
 
@@ -85,7 +87,8 @@ def default_alpha(side: str) -> float:
 class ExperimentConfig:
     """One simulation experiment: a setting crossed with problem sizes.
 
-    Tables and record stores go to ``out_dir``; ``alpha`` None means
+    Tables and record stores go to ``out_dir``, which is made if missing
+    but must not be, or lie under, a file; ``alpha`` None means
     :func:`default_alpha` of the side.
     """
 
@@ -119,6 +122,11 @@ class ExperimentConfig:
         if type(self.workers) is not int or self.workers < 1:
             raise ValueError(
                 f"--workers must be a positive integer, got {self.workers!r}")
+        out = Path(self.out_dir)
+        taken = next(d for d in (out, *out.parents) if d.exists())
+        if not taken.is_dir():
+            raise ValueError(f"--out {out} is not a directory" if taken == out
+                             else f"--out {out}: {taken} is not a directory")
 
 
 @dataclass
@@ -178,8 +186,8 @@ def interval(method: str, j: int, ds: Dataset, selection: SelectionResult,
              ps_sigma: float | None = None) -> tuple[float, float, str]:
     """``(lower, upper, flags)`` of one method's bound on selected column j.
 
-    ``iv`` reads the observed ``fit``, ``hr`` also its engine (of this
-    ``side``) and the resample set ``rs``, ``ps`` the noise scale ``ps_sigma``.
+    ``iv`` reads the observed ``fit``, ``hr`` also its engine and the
+    resample set ``rs``, ``ps`` the noise scale ``ps_sigma``.
     Flags: ``failed:<Exception>`` (bounds nan, inf), ``nonconverged``,
     ``empty`` (no grid point accepted), ``clipped`` (a grid end accepted),
     ``fallback`` (normal quantiles at some grid point or refinement

@@ -4,12 +4,14 @@ For a candidate value theta, synthetic responses are built from the
 combined estimate and the resampled disturbances, each synthetic response
 is pushed through the full statistic pipeline (selection included), and
 the observed statistic is compared with quantiles of the synthetic ones,
-conditioned on the target column having been selected. The one-sided bound
-inverts that comparison by bisection, reusing a resample's greedy path
-between two evaluated thetas at which it is the same; the two-sided bound
-scans a grid inward from both ends to the hull of its acceptance region,
-reusing each resample's greedy path over the theta-interval on which it
-provably holds.
+conditioned on the target column having been selected. Each bound builds
+that test once, as a ``_ThetaTest``, which gives the signed statistics
+(beta_j - theta) / se; the one-sided bound compares them, the two-sided
+bound their magnitudes. The one-sided bound inverts the test by
+bisection, reusing a resample's greedy path between two evaluated thetas
+at which it is the same; the two-sided bound scans a grid inward from both
+ends to the hull of its acceptance region, reusing each resample's greedy
+path over the theta-interval on which it provably holds.
 
 A resample's statistic depends on theta only through its selected set J.
 Its response is y_b(theta) = a_b + theta x_j and the projected design
@@ -28,14 +30,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .factor_model import complement_projection, estimate_factors
-from .inference import (
-    IntervalReport,
-    PipelineFit,
-    SIDE_ONE,
-    SIDE_TWO,
-    StatConfig,
-    covariance,
-)
+from .inference import IntervalReport, PipelineFit, StatConfig, covariance
 from .iv_estimator import IvEstimate, fit_selected
 from .oga import (RSS_RESCUE_TOL, default_iterations, hdbic, oga_hdbic,
                   oga_path_batch)
@@ -110,51 +105,31 @@ class StatisticEngine:
         return PipelineFit(selection=sel, estimate=est,
                            sigma=np.sqrt(np.diag(V) / self.n))
 
-    def statistics_batch(
-        self, Y_batch: np.ndarray, j: int, theta: float,
-        paths: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Statistic for each column of Y_batch, with a selection mask.
+    def statistics_batch(self, Y_batch: np.ndarray, j: int, theta: float,
+                         sets: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """Signed statistic (beta_j - theta) / se of each column of Y_batch.
 
-        Returns ``(stats, selected, failures)``: unselected responses carry
-        the sentinel and ``selected`` False; resamples whose gram fails the
-        guard or whose variance is not positive carry NaN (still marked
-        selected) and count as failures. Resamples that select the same
-        set are estimated together, with one factorization. ``paths`` are
-        the greedy paths of Y_batch as ``oga_path_batch`` returns them.
+        ``sets[b]`` is the selected set of column b, its ordered picks.
+        Returns ``(stats, selected)``: a set without j gives NaN and
+        ``selected`` False; a set whose gram fails the guard, or a variance
+        that is not positive, gives NaN with ``selected`` True. Responses
+        that share a set are estimated together, with one factorization.
         """
-        out = np.full(Y_batch.shape[1], self.cfg.sentinel)
-        selected = np.zeros(Y_batch.shape[1], dtype=bool)
+        out = np.full(Y_batch.shape[1], np.nan)
+        selected = np.array([j in J for J in sets], dtype=bool)
         groups: dict[tuple, list[int]] = {}
-        for b, J in zip(*self.sets_holding(j, paths)):
-            groups.setdefault(J, []).append(b)
-
-        failures = 0
+        for b in np.flatnonzero(selected).tolist():
+            groups.setdefault(tuple(sets[b]), []).append(b)
         for J, members in groups.items():
-            selected[members] = True
             pos = J.index(j)
             try:
                 est, V = self.estimate(np.array(J), Y_batch[:, members])
                 beta, v_jj = est.beta_tilde[pos], V[:, pos, pos]
             except np.linalg.LinAlgError:
                 beta, v_jj = np.nan, np.full(len(members), np.nan)
-            ok = v_jj > 0.0
-            failures += len(members) - int(np.count_nonzero(ok))
-            value = (beta - theta) / np.sqrt(np.where(ok, v_jj, np.nan) / self.n)
-            out[members] = np.abs(value) if self.cfg.side == SIDE_TWO else value
-        return out, selected, failures
-
-    def sets_holding(self, j: int, paths: tuple) -> tuple[list[int], list[tuple]]:
-        """Responses whose HDBIC-truncated path holds column j, and those sets.
-
-        ``paths`` are ``(sel, resid_norms, m_actual)`` as ``oga_path_batch``
-        returns them; each set is the ordered picks ``sel[b, :m]``.
-        """
-        sel, resid_norms, _ = paths
-        m = hdbic(resid_norms, self.n, self.p)
-        picked_j = (sel == j) & (np.arange(sel.shape[1]) < m[:, None])
-        members = np.flatnonzero(picked_j.any(axis=1)).tolist()
-        return members, [tuple(sel[b, :m[b]].tolist()) for b in members]
+            out[members] = (beta - theta) / np.sqrt(
+                np.where(v_jj > 0.0, v_jj, np.nan) / self.n)
+        return out, selected
 
 
 def _order_statistic(values: np.ndarray, level: float) -> float:
@@ -180,51 +155,6 @@ def _synthetic_batch(X: np.ndarray, rs: ResampleSet, j: int,
     base = X[:, rs.j_hat] @ rs.beta_tilde
     shift = np.asarray(theta) - rs.beta_tilde[pos]
     return base[:, None] + rs.w_b[members].T + shift * X[:, j][:, None]
-
-
-def _observed(engine: StatisticEngine, fit: PipelineFit, j: int,
-              rs: ResampleSet, side: str) -> tuple[float, float]:
-    """Observed estimate and standard error for a bound on column j."""
-    if j not in set(int(v) for v in rs.j_hat):
-        raise ValueError(f"column {j} is not in the selected set")
-    if rs.w_b.shape[0] < MIN_RESAMPLES:
-        raise ValueError(f"need at least {MIN_RESAMPLES} resamples")
-    if engine.cfg.side != side:
-        raise ValueError(f"a {side}-sided interval needs a {side}-sided statistic")
-    pos = fit.position(j)
-    if pos is None:
-        raise ValueError(f"column {j} not selected on the observed response")
-    return float(fit.estimate.beta_tilde[pos]), float(fit.sigma[pos])
-
-
-def _conditioned(sweep: _PathSweep, theta: float, statistics: dict,
-                 diag: dict) -> np.ndarray:
-    """Resampled statistics at theta that enter the quantile.
-
-    Those are the resamples whose HDBIC set J on their path at theta
-    (from ``sweep.bracketed``) holds column j, less those that failed. A
-    resample's statistic depends on theta only through J, so
-    ``statistics`` keeps one per (resample, J) and only new pairs are
-    estimated; a failed one is kept as NaN. ``diag`` counts the
-    evaluation, its failures, and the statistics estimated and reused.
-    """
-    engine, j = sweep.engine, sweep.j
-    paths = sweep.bracketed(theta)
-    keys = list(zip(*engine.sets_holding(j, paths)))
-    new = [key not in statistics for key in keys]
-    if any(new):
-        fresh = [key for key, is_new in zip(keys, new) if is_new]
-        members = np.array([key[0] for key in fresh])
-        stats, _, _ = engine.statistics_batch(
-            _synthetic_batch(engine.X, sweep.rs, j, theta, members), j, theta,
-            tuple(path[members] for path in paths))
-        statistics.update(zip(fresh, stats))
-    values = np.array([statistics[key] for key in keys])
-    diag["evaluations"] += 1
-    diag["failures"] += int(np.count_nonzero(np.isnan(values)))
-    diag["statistics"] += sum(new)
-    diag["statistics_reused"] += len(new) - sum(new)
-    return values[np.isfinite(values)]
 
 
 def invert_lower_bound(observed_stat, u_upper, start: float,
@@ -273,50 +203,16 @@ def invert_lower_bound(observed_stat, u_upper, start: float,
     return float(0.5 * (a + r)), diag
 
 
-def hybrid_ci_one_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
-                        rs: ResampleSet, alpha: float) -> IntervalReport:
-    """Lower confidence bound by bisecting the test-inversion boundary.
+class _ThetaTest:
+    """The resampling test at theta that one bound on column j inverts.
 
-    ``engine`` must hold a one-sided statistic and ``fit`` be its fit of
-    the observed response. Walks down from the point estimate until the
-    observed statistic exceeds the resampled (1-alpha)-quantile, then
-    bisects the bracketing interval to within sigma * BISECT_WIDTH.
-    Greedy paths come from a ``_PathSweep`` that reuses a resample's path
-    between two evaluated thetas where it is the same: ``paths`` counts
-    the resample paths computed and ``paths_reused`` the (resample, theta)
-    evaluations that reused one. Statistics are kept per (resample,
-    selected set) for the bound: ``statistics`` counts those estimated and
-    ``statistics_reused`` the conditioned evaluations that reused one.
-    """
-    beta_obs, sigma = _observed(engine, fit, j, rs, SIDE_ONE)
-    level = 1.0 - alpha
-    diag = {"evaluations": 0, "empty_conditioning": 0,
-            "min_conditioned": np.inf, "failures": 0, "statistics": 0,
-            "statistics_reused": 0}
-    sweep, statistics = _PathSweep(engine, rs, j, sigma), {}
-
-    def observed_stat(theta: float) -> float:
-        return (beta_obs - theta) / sigma
-
-    def u_upper(theta: float) -> float:
-        cond = _conditioned(sweep, theta, statistics, diag)
-        diag["min_conditioned"] = min(diag["min_conditioned"], len(cond))
-        if len(cond) == 0:
-            # No resample selected the column at this theta: there is no
-            # conditional evidence against it, so it cannot be rejected.
-            diag["empty_conditioning"] += 1
-            return np.inf
-        return _order_statistic(cond, level)
-
-    lower, bisect_diag = invert_lower_bound(observed_stat, u_upper, beta_obs, sigma)
-    diag.update(bisect_diag, paths=sweep.paths,
-                paths_reused=diag["evaluations"] * rs.w_b.shape[0] - sweep.paths)
-    return IntervalReport(j=j, method="hr", lower=lower, upper=np.inf,
-                          alpha=alpha, diagnostics=diag)
-
-
-class _PathSweep:
-    """Greedy paths of the synthetic responses along theta.
+    Built once per bound, from the engine, its fit of the observed
+    response and the resample set, after checking that j is selected in
+    both and that there are at least MIN_RESAMPLES resamples. At theta it
+    gives the signed observed statistic (``observed``) and the signed
+    statistics of the resamples that select j there (``conditioned``); the
+    bound applies its own acceptance rule to them and builds its report
+    with ``report``, which adds the counts below.
 
     Resample b's response at theta is a_b + theta x_j. Each computed path
     is a segment of ``seg``, anchored at the theta it was computed at;
@@ -343,12 +239,69 @@ class _PathSweep:
     reuse a path only where ``_holds`` says the loop would not rescue it.
     """
 
-    def __init__(self, engine: StatisticEngine, rs: ResampleSet, j: int,
-                 sigma: float):
+    def __init__(self, engine: StatisticEngine, fit: PipelineFit, j: int,
+                 rs: ResampleSet):
+        if j not in set(int(v) for v in rs.j_hat):
+            raise ValueError(f"column {j} is not in the selected set")
+        if rs.w_b.shape[0] < MIN_RESAMPLES:
+            raise ValueError(f"need at least {MIN_RESAMPLES} resamples")
+        pos = fit.position(j)
+        if pos is None:
+            raise ValueError(f"column {j} not selected on the observed response")
+        self.beta_obs = float(fit.estimate.beta_tilde[pos])
+        self.sigma = float(fit.sigma[pos])
         self.engine, self.rs, self.j = engine, rs, j
-        self.margin = REUSE_MARGIN * sigma
+        self.margin = REUSE_MARGIN * self.sigma
         self.seg: dict[str, np.ndarray] = {}
         self.visits: dict[float, np.ndarray] = {}  # theta -> segments there
+        self.statistics: dict[tuple, float] = {}  # (resample, J) -> statistic
+        self.counts = dict(evaluations=0, failures=0, statistics=0,
+                           statistics_reused=0)
+
+    def observed(self, theta: float) -> float:
+        """The observed statistic (beta_obs - theta) / sigma."""
+        return (self.beta_obs - theta) / self.sigma
+
+    def conditioned(self, theta: float) -> np.ndarray:
+        """Resampled statistics at theta that enter the quantile.
+
+        Those of the resamples whose HDBIC set J on their path at theta
+        (from ``bracketed``) holds column j, less those that failed. Only
+        (resample, J) pairs not seen before go to ``statistics_batch``; a
+        failed one is kept as NaN. Counts the evaluation (``evaluations``),
+        its failed statistics (``failures``), and the pairs estimated
+        (``statistics``) and reused (``statistics_reused``).
+        """
+        e, j = self.engine, self.j
+        sel, resid_norms, _ = self.bracketed(theta)
+        m = hdbic(resid_norms, e.n, e.p)
+        holds = ((sel == j) & (np.arange(sel.shape[1]) < m[:, None])).any(axis=1)
+        keys = [(b, tuple(sel[b, :m[b]].tolist()))
+                for b in np.flatnonzero(holds).tolist()]
+        fresh = [key for key in keys if key not in self.statistics]
+        if fresh:
+            members = np.array([b for b, _ in fresh])
+            stats, _ = e.statistics_batch(
+                _synthetic_batch(e.X, self.rs, j, theta, members), j, theta,
+                [J for _, J in fresh])
+            self.statistics.update(zip(fresh, stats))
+        values = np.array([self.statistics[key] for key in keys])
+        self.counts["evaluations"] += 1
+        self.counts["failures"] += int(np.count_nonzero(np.isnan(values)))
+        self.counts["statistics"] += len(fresh)
+        self.counts["statistics_reused"] += len(keys) - len(fresh)
+        return values[np.isfinite(values)]
+
+    def report(self, lower: float, upper: float, alpha: float,
+               **diag) -> IntervalReport:
+        """The bound's report: the counts, ``diag``, and ``paths`` (resample
+        paths computed) and ``paths_reused`` (resample evaluations that
+        reused one)."""
+        reused = self.counts["evaluations"] * self.rs.w_b.shape[0] - self.paths
+        return IntervalReport(j=self.j, method="hr", lower=lower, upper=upper,
+                              alpha=alpha, diagnostics=dict(
+                                  self.counts, **diag, paths=self.paths,
+                                  paths_reused=reused))
 
     def _compute(self, members: np.ndarray, thetas: np.ndarray,
                  toward: int = 0) -> np.ndarray:
@@ -463,17 +416,50 @@ class _PathSweep:
         return self.seg["sel"][segs], np.sqrt(rss), self.seg["m"][segs]
 
 
+def hybrid_ci_one_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
+                        rs: ResampleSet, alpha: float) -> IntervalReport:
+    """Lower confidence bound by bisecting the test-inversion boundary.
+
+    ``fit`` is ``engine``'s fit of the observed response. Walks down from
+    the point estimate until the observed statistic exceeds the
+    (1-alpha)-quantile of the conditioned resampled ones, then bisects the
+    bracketing interval to within sigma * BISECT_WIDTH. A theta at which
+    no resample conditions is accepted (quantile infinity) and counts in
+    ``empty_conditioning``. The test at theta is one ``_ThetaTest``, which
+    reuses a resample's greedy path between two evaluated thetas where it
+    is the same and its statistic per (resample, selected set).
+    """
+    test = _ThetaTest(engine, fit, j, rs)
+    level = 1.0 - alpha
+    diag = {"empty_conditioning": 0, "min_conditioned": np.inf}
+
+    def u_upper(theta: float) -> float:
+        cond = test.conditioned(theta)
+        diag["min_conditioned"] = min(diag["min_conditioned"], len(cond))
+        if len(cond) == 0:
+            # No resample selected the column at this theta: there is no
+            # conditional evidence against it, so it cannot be rejected.
+            diag["empty_conditioning"] += 1
+            return np.inf
+        return _order_statistic(cond, level)
+
+    lower, bisect_diag = invert_lower_bound(test.observed, u_upper,
+                                            test.beta_obs, test.sigma)
+    return test.report(lower, np.inf, alpha, **diag, **bisect_diag)
+
+
 def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
                         rs: ResampleSet, alpha: float) -> IntervalReport:
     """Two-sided interval as the hull of the grid acceptance region.
 
-    ``engine`` must hold a two-sided statistic and ``fit`` be its fit of
-    the observed response. A grid point is accepted when the observed
-    |statistic| lies between the alpha and (1-alpha) resample quantiles;
-    the reported bounds are the outermost accepted points, tightened by one
-    midpoint refinement on each side; ``clipped_low``/``clipped_high`` flag
-    an accepted grid end and ``empty_region`` a grid with no accepted point.
-    ``fallbacks`` counts the evaluations that used normal quantiles.
+    ``fit`` is ``engine``'s fit of the observed response. A grid point is
+    accepted when the magnitude of the observed statistic lies between
+    the alpha and (1-alpha) quantiles of the conditioned resampled
+    magnitudes; the reported bounds are the outermost accepted points,
+    tightened by one midpoint refinement on each side;
+    ``clipped_low``/``clipped_high`` flag an accepted grid end and
+    ``empty_region`` a grid with no accepted point. ``fallbacks`` counts
+    the evaluations that used normal quantiles.
 
     The grid is scanned upward from its low end and downward from its high
     end, each scan stopping at its first accepted point, so the points
@@ -481,56 +467,46 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     change: whether some grid point or midpoint fell back. They are scanned
     upward, up to the first fallback, only when no evaluation so far fell
     back and no end was accepted (``interior_scanned``). The bounds and
-    flags are those of evaluating every grid point; the counts below are
-    over the points evaluated. Greedy paths come from a ``_PathSweep``
-    along the grid: ``paths`` counts the resample paths computed and
-    ``paths_reused`` the (resample, theta) evaluations that reused one;
-    ``statistics`` and ``statistics_reused`` count as in
+    flags are those of evaluating every grid point; the counts are over
+    the points evaluated. The test at theta is one ``_ThetaTest``, whose
+    ``scan`` serves the grid and reuses greedy paths and statistics as in
     :func:`hybrid_ci_one_sided`.
     """
-    beta_obs, sigma = _observed(engine, fit, j, rs, SIDE_TWO)
+    test = _ThetaTest(engine, fit, j, rs)
     lo_fallback = float(ndtri(0.5 * (1.0 + alpha)))
     hi_fallback = float(ndtri(1.0 - 0.5 * alpha))
-    diag = {"evaluations": 0, "fallbacks": 0, "failures": 0, "statistics": 0,
-            "statistics_reused": 0}
-    statistics: dict = {}
+    diag = {"fallbacks": 0}
 
     def accepted(theta: float) -> tuple[bool, float]:
-        cond = _conditioned(sweep, theta, statistics, diag)
+        cond = np.abs(test.conditioned(theta))
         if len(cond) < MIN_CONDITIONED:
             diag["fallbacks"] += 1
             u_lo, u_hi = lo_fallback, hi_fallback
         else:
             u_lo = _order_statistic(cond, alpha)
             u_hi = _order_statistic(cond, 1.0 - alpha)
-        t_obs = abs(beta_obs - theta) / sigma
+        t_obs = abs(test.observed(theta))
         inside = u_lo < t_obs < u_hi
         violation = max(u_lo - t_obs, t_obs - u_hi)
         return inside, violation
 
-    half = GRID_HALF_WIDTH * sigma
-    grid = np.linspace(beta_obs - half, beta_obs + half, GRID_POINTS)
-    sweep = _PathSweep(engine, rs, j, sigma)
+    half = GRID_HALF_WIDTH * test.sigma
+    grid = np.linspace(test.beta_obs - half, test.beta_obs + half, GRID_POINTS)
     results: dict[int, tuple[bool, float]] = {}  # grid index -> accepted()
 
     def inside(i: int) -> bool:
         results[i] = accepted(float(grid[i]))
         return results[i][0]
 
-    def done(lower: float, upper: float, empty: bool) -> IntervalReport:
-        diag.update(empty_region=empty, paths=sweep.paths,
-                    paths_reused=diag["evaluations"] * rs.w_b.shape[0] - sweep.paths)
-        return IntervalReport(j=j, method="hr", lower=lower, upper=upper,
-                              alpha=alpha, diagnostics=diag)
-
-    upward = sweep.scan(grid)
+    upward = test.scan(grid)
     lo_idx = next((i for i in upward if inside(i)), None)
     if lo_idx is None:  # the upward scan evaluated every grid point
-        diag.update(clipped_low=False, clipped_high=False, interior_scanned=False)
         best = float(grid[min(results, key=lambda i: results[i][1])])
-        return done(best, best, True)
+        return test.report(best, best, alpha, **diag, clipped_low=False,
+                           clipped_high=False, interior_scanned=False,
+                           empty_region=True)
     top = len(grid) - 1
-    hi_idx = next((top - k for k in sweep.scan(grid[:lo_idx:-1]) if inside(top - k)),
+    hi_idx = next((top - k for k in test.scan(grid[:lo_idx:-1]) if inside(top - k)),
                   lo_idx)
     diag.update(clipped_low=lo_idx == 0, clipped_high=hi_idx == top)
 
@@ -546,4 +522,4 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
             accepted(float(grid[next(upward)]))
             if diag["fallbacks"]:
                 break
-    return done(theta_l, theta_u, False)
+    return test.report(theta_l, theta_u, alpha, **diag, empty_region=False)

@@ -3,9 +3,7 @@
 ``StatConfig`` and ``PipelineFit`` describe the statistic that
 ``hybrid.StatisticEngine`` evaluates: greedy selection with the BIC-style
 stopping rule, factor estimation, projected-design estimation, and the
-sandwich variance computed here. A response for which the target column is
-not selected yields a sentinel (0 for two-sided use, -inf for one-sided
-use) so that quantiles can condition on selection.
+sandwich variance computed here.
 """
 from __future__ import annotations
 
@@ -28,15 +26,11 @@ class InvalidTruncationError(ValueError):
 
 @dataclass(frozen=True)
 class StatConfig:
-    """Knobs shared by every statistic evaluation."""
+    """Knobs shared by every statistic evaluation; ``side`` picks the bound."""
 
     kmax: int = 5
     q: int = 1
     side: str = SIDE_ONE
-
-    @property
-    def sentinel(self) -> float:
-        return -np.inf if self.side == SIDE_ONE else 0.0
 
 
 @dataclass

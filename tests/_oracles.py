@@ -2,7 +2,7 @@
 import numpy as np
 
 from martingale_ci.hybrid import StatisticEngine
-from martingale_ci.inference import SIDE_TWO, PipelineFit, StatConfig
+from martingale_ci.inference import SIDE_ONE, SIDE_TWO, PipelineFit, StatConfig
 
 
 def naive_forward_stepwise(X, Y, m):
@@ -40,12 +40,13 @@ def test_statistic(
 ) -> float:
     """Standardized statistic for the hypothesis that coefficient j equals theta.
 
-    Selection is part of the statistic: when column j is not selected the
+    The side-aware reference: signed one-sided, its magnitude two-sided.
+    Selection is part of the statistic: when column j is not selected a
     sentinel is returned (0 two-sided, -inf one-sided).
     """
     fit = fit_pipeline(X, Y, cfg)
     pos = fit.position(j)
     if pos is None:
-        return cfg.sentinel
+        return -np.inf if cfg.side == SIDE_ONE else 0.0
     value = (fit.estimate.beta_tilde[pos] - theta) / fit.sigma[pos]
     return abs(value) if cfg.side == SIDE_TWO else value

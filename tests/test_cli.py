@@ -161,6 +161,9 @@ class TestCiCommand:
         ("iv", ["--q", "-1"], "--q must be >= 0, got -1"),
         ("iv", ["--kmax", "0"], "--kmax must be >= 1, got 0"),
         ("hr", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+        ("t", ["--sigma", "5"], "--sigma is read by the ps method only"),
+        ("iv", ["--sigma", "5"], "--sigma is read by the ps method only"),
+        ("hr", ["--sigma", "5"], "--sigma is read by the ps method only"),
     ])
     def test_invalid_option_rejected(self, dataset_csv, tmp_path, capsys,
                                      method, option, message):
@@ -396,14 +399,22 @@ class TestSimulateCommand:
         (["--methods", "t,t"], "repeated methods: ['t']"),
         (["--methods", "t,iv,hr,iv,t"], "repeated methods: ['iv', 't']"),
         (["--methods", "t", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--methods", "t", "--out", "file"], "--out file is not a directory"),
+        (["--methods", "t", "--out", "file/sim"],
+         "--out file/sim: file is not a directory"),
     ])
-    def test_invalid_option_rejected(self, tmp_path, capsys, no_pool, option,
-                                     message):
+    def test_invalid_option_rejected(self, tmp_path, capsys, monkeypatch,
+                                     no_pool, option, message):
+        # An --out in ``option`` comes last, so it is the one read; it is
+        # relative to tmp_path, which holds a file named ``file``.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("kept\n")
         code = main(["simulate", "--setting", "IID", "--n", "60", "--p", "30",
-                     "--reps", "1", *option, "--out", str(tmp_path / "sim")])
+                     "--reps", "1", "--out", str(tmp_path / "sim"), *option])
         assert code == 2
         assert capsys.readouterr().err == f"simulate: {message}\n"
         assert not (tmp_path / "sim").exists()
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_bad_worker_flag_rejected(self, tmp_path, capsys, no_pool, value):

@@ -549,7 +549,7 @@ class TestTwoSidedHarness:
         assert harness.default_alpha(side) == cfg.alpha == alpha
 
     @pytest.mark.parametrize("stats, flag", [
-        ([-1.0, 100.0], "clipped"),  # every grid point accepted
+        ([-1.0, 100.0], "clipped"),  # both grid ends accepted
         ([100.0], "empty"),          # no grid point accepted
     ])
     def test_hr_grid_edge_cases_flagged(self, monkeypatch, stats, flag):
@@ -559,9 +559,9 @@ class TestTwoSidedHarness:
         fit = engine.fit(ds.Y)
         rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, 40, 1, kmax=1)
 
-        def fixed(Y_batch, j, theta, paths=None):
+        def fixed(Y_batch, j, theta, sets):
             b = Y_batch.shape[1]
-            return np.resize(stats, b), np.ones(b, dtype=bool), 0
+            return np.resize(stats, b), np.ones(b, dtype=bool)
 
         monkeypatch.setattr(engine, "statistics_batch", fixed)
         lb, ub, flags = harness.interval("hr", int(fit.j_hat[0]), ds,

@@ -14,7 +14,7 @@ from martingale_ci.hybrid import (
     MIN_CONDITIONED,
     StatisticEngine,
     _order_statistic,
-    _PathSweep,
+    _ThetaTest,
     _synthetic_batch,
     hybrid_ci_one_sided,
     hybrid_ci_two_sided,
@@ -32,11 +32,22 @@ def small_problem(seed=0, n=120, p=30, setting="LAI"):
     return ds, beta
 
 
+def selected_sets(paths, n, p):
+    """The HDBIC-truncated set of every path in ``paths``, as
+    ``oga_path_batch`` returns them."""
+    sel, resid_norms, _ = paths
+    m = hdbic(resid_norms, n, p)
+    return [tuple(sel[b, :m[b]].tolist()) for b in range(len(sel))]
+
+
 def batch_statistics(engine, Y_batch, j, theta):
-    """``engine.statistics_batch`` on the greedy paths of Y_batch."""
+    """``engine.statistics_batch`` on the selected sets of Y_batch, with the
+    number of statistics that failed: selected, but NaN."""
     paths = oga_path_batch(engine.X, Y_batch, engine.kn, engine.col_norms,
                            engine.gram)
-    return engine.statistics_batch(Y_batch, j, theta, paths)
+    stats, selected = engine.statistics_batch(
+        Y_batch, j, theta, selected_sets(paths, *engine.X.shape))
+    return stats, selected, int(np.count_nonzero(selected & np.isnan(stats)))
 
 
 class TestStatisticEngine:
@@ -52,17 +63,27 @@ class TestStatisticEngine:
         assert failures == 0
         assert np.isclose(batch[0], scalar, rtol=1e-6)
 
-    def test_sentinel_for_unselected_column(self):
+    def test_set_without_the_column_gives_nan(self):
         ds, _ = small_problem(2)
         cfg = StatConfig(kmax=3, q=1, side=SIDE_ONE)
-        engine = StatisticEngine(ds.X, cfg)
         dead = ds.p - 1  # a zero-coefficient column, never first choice
         X = ds.X.copy()
         X[:, dead] = 0.0
         engine_dead = StatisticEngine(X, cfg)
-        stats, selected, _ = batch_statistics(engine_dead, ds.Y[:, None], dead, 0.0)
-        assert stats[0] == -np.inf
-        assert not selected[0]
+        stats, selected, failures = batch_statistics(engine_dead, ds.Y[:, None],
+                                                     dead, 0.0)
+        assert np.isnan(stats[0]) and not selected[0] and failures == 0
+        # Beside sets that hold the column, only the set without it is NaN.
+        engine = StatisticEngine(ds.X, cfg)
+        J = tuple(engine.fit(ds.Y).j_hat.tolist())
+        j, others = J[0], J[1:]
+        Yb = np.column_stack([ds.Y] * 3)
+        stats, selected = engine.statistics_batch(Yb, j, 0.0, [J, others, J])
+        assert selected.tolist() == [True, False, True]
+        assert np.isnan(stats[1]) and np.isfinite(stats[[0, 2]]).all()
+        assert np.isclose(stats[0], eval_statistic(ds.X, ds.Y, j, 0.0, cfg),
+                          rtol=1e-10, atol=0.0)
+        assert stats[0] == stats[2]
 
     def test_engine_fit_matches_pipeline(self):
         ds, _ = small_problem(3)
@@ -120,9 +141,17 @@ class TestStatisticEngine:
         assert len(sets) >= 3
         stats, selected, failures = batch_statistics(engine, Yb, j, theta)
         assert failures == 0 and selected.sum() >= 30
+        # The engine's statistic is signed on either side; the reference
+        # takes its magnitude two-sided and gives unselected columns its
+        # side's sentinel, where the engine gives NaN.
         for b in range(40):
             scalar = eval_statistic(ds.X, Yb[:, b], j, theta, cfg)
-            assert np.isclose(stats[b], scalar, rtol=1e-10, atol=0.0), b
+            if not selected[b]:
+                assert np.isnan(stats[b]), b
+                assert scalar == (-np.inf if side == SIDE_ONE else 0.0), b
+                continue
+            got = abs(stats[b]) if side == SIDE_TWO else stats[b]
+            assert np.isclose(got, scalar, rtol=1e-10, atol=0.0), b
 
 
 class TestStatisticConstantInTheta:
@@ -237,9 +266,9 @@ class TestHybridOneSided:
     def test_empty_conditioning_never_rejects(self, monkeypatch):
         j = int(self.fit.j_hat[0])
 
-        def starve(Y_batch, jj, theta, paths):
+        def starve(Y_batch, jj, theta, sets):
             b = Y_batch.shape[1]
-            return np.full(b, -np.inf), np.zeros(b, dtype=bool), 0
+            return np.full(b, np.nan), np.zeros(b, dtype=bool)
 
         monkeypatch.setattr(self.engine, "statistics_batch", starve)
         rep = hybrid_ci_one_sided(self.engine, self.fit, j, self.rs, 0.2)
@@ -250,6 +279,14 @@ class TestHybridOneSided:
         sigma = float(self.fit.sigma[0])
         beta_j = float(self.fit.estimate.beta_tilde[0])
         assert rep.lower < beta_j - 10 * sigma
+
+
+def _unit_fit(j):
+    """An observed fit that selects column j alone, with estimate 0 and
+    standard error 1."""
+    return PipelineFit(selection=SimpleNamespace(j_hat=np.array([j])),
+                       estimate=SimpleNamespace(beta_tilde=np.zeros(1)),
+                       sigma=np.ones(1))
 
 
 def _orthogonal_design():
@@ -278,10 +315,10 @@ def _per_theta_lower(engine, fit, j, rs, alpha):
         Y = _synthetic_batch(engine.X, rs, j, theta)
         paths = oga_path_batch(engine.X, Y, engine.kn, engine.col_norms)
         visits.append((theta, paths))
-        stats, selected, failures = engine.statistics_batch(Y, j, theta,
-                                                            paths=paths)
+        stats, selected = engine.statistics_batch(
+            Y, j, theta, selected_sets(paths, *engine.X.shape))
         flags["evaluations"] += 1
-        flags["failures"] += failures
+        flags["failures"] += int(np.count_nonzero(selected & np.isnan(stats)))
         cond = stats[selected & np.isfinite(stats)]
         flags["min_conditioned"] = min(flags["min_conditioned"], len(cond))
         if len(cond) == 0:
@@ -325,7 +362,7 @@ class TestBracketReuse:
             j = int(fit.j_hat[rep % len(fit.j_hat)])
             lower, flags, fresh = _per_theta_lower(engine, fit, j, rs, alpha)
 
-            sweep = _PathSweep(engine, rs, j, float(fit.sigma[fit.position(j)]))
+            sweep = _ThetaTest(engine, fit, j, rs)
             for theta, (want_sel, want_resid, want_m) in fresh:
                 sel, resid, m_actual = sweep.bracketed(theta)
                 assert np.array_equal(m_actual, want_m)
@@ -346,15 +383,19 @@ class TestBracketReuse:
 
     @staticmethod
     def _orthogonal_sweep(y):
-        """A sweep on a 16x12 orthogonal +-1 design (path length 4) whose
-        one resample's response at theta is y + theta x_0."""
+        """The test of column 0 on a 16x12 orthogonal +-1 design (path
+        length 4), with observed estimate 0 and standard error 1, whose one
+        resample's response at theta is y + theta x_0. One resample is
+        below the bounds' minimum, which the paths do not need."""
         X = _orthogonal_design()
         rs = ResampleSet(j_hat=np.array([0]), beta_tilde=np.zeros(1),
                          j_plus=np.array([0]), w_tilde=y(X), eps_hat=y(X),
                          w_b=y(X)[None, :])
         engine = StatisticEngine(X, StatConfig(kmax=1, q=0, side=SIDE_ONE))
         assert engine.kn == 4
-        return engine, _PathSweep(engine, rs, 0, 1.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hybrid, "MIN_RESAMPLES", 1)
+            return engine, _ThetaTest(engine, _unit_fit(0), 0, rs)
 
     def test_sign_change_between_ends_recomputes(self):
         # The paths at theta = -3 and 3 pick the same columns, but the first
@@ -401,9 +442,10 @@ def _per_theta_interval(engine, fit, j, rs, alpha):
     def accepted(theta):
         Y = _synthetic_batch(engine.X, rs, j, theta)
         paths = oga_path_batch(engine.X, Y, engine.kn, engine.col_norms)
-        stats, selected, failures = engine.statistics_batch(Y, j, theta,
-                                                            paths=paths)
-        cond = stats[selected & np.isfinite(stats)]
+        stats, selected = engine.statistics_batch(
+            Y, j, theta, selected_sets(paths, *engine.X.shape))
+        failures = int(np.count_nonzero(selected & np.isnan(stats)))
+        cond = np.abs(stats[selected & np.isfinite(stats)])
         u = fallback
         if len(cond) >= MIN_CONDITIONED:
             u = (_order_statistic(cond, alpha), _order_statistic(cond, 1 - alpha))
@@ -444,14 +486,14 @@ def _bound_against_per_theta(engine, fit, j, rs, alpha, monkeypatch):
     n, p = engine.X.shape
     B = rs.w_b.shape[0]
     bounds, flags, at = _per_theta_interval(engine, fit, j, rs, alpha)
-    seen, bracketed = {}, _PathSweep.bracketed
+    seen, bracketed = {}, _ThetaTest.bracketed
 
     def record(sweep, theta):
         seen[theta] = bracketed(sweep, theta)
         return seen[theta]
 
     with monkeypatch.context() as patch:
-        patch.setattr(_PathSweep, "bracketed", record)
+        patch.setattr(_ThetaTest, "bracketed", record)
         report = hybrid_ci_two_sided(engine, fit, j, rs, alpha)
     diag = report.diagnostics
     assert (report.lower, report.upper) == bounds
@@ -495,9 +537,9 @@ def _strong_signal_problem(B):
 def _fixed_statistics(stats):
     """A ``statistics_batch`` stub under which every resample conditions,
     with the statistics ``stats`` in order."""
-    def fixed(Y_batch, jj, theta, paths):
+    def fixed(Y_batch, jj, theta, sets):
         b = Y_batch.shape[1]
-        return stats[:b].copy(), np.ones(b, dtype=bool), 0
+        return stats[:b].copy(), np.ones(b, dtype=bool)
     return fixed
 
 
@@ -572,13 +614,14 @@ class TestGridSweep:
             {k: v for k, v in want.diagnostics.items() if k not in counts}
 
     @pytest.mark.parametrize("top, flag, evaluations", [
-        (100.0, "clipped_low", 2), (-1.0, "empty_region", GRID_POINTS)])
+        (100.0, "clipped_low", 2), (0.0, "empty_region", GRID_POINTS)])
     def test_stubbed_clipped_and_empty_stop_early(self, top, flag, evaluations,
                                                   monkeypatch):
         # Every evaluation conditions on 40 statistics, half 0 and half
         # `top`. With top = 100 every grid point but the estimate is
         # accepted, so each scan stops at its first point and the flag is
-        # clipped; with top = -1 the quantiles (-1, 0) accept no point.
+        # clipped; with top = 0 the quantiles of the magnitudes, (0, 0),
+        # accept no point.
         engine, fit, j, rs = _strong_signal_problem(40)
         monkeypatch.setattr(engine, "statistics_batch",
                             _fixed_statistics(np.tile([0.0, top], 20)))
@@ -602,13 +645,11 @@ class TestGridSweep:
         engine = StatisticEngine(X, StatConfig(kmax=1, q=0, side=SIDE_TWO))
         # An observed estimate 0 with standard error 1 puts the bound's grid
         # at ``grid``.
-        fit = PipelineFit(selection=SimpleNamespace(j_hat=np.array([0])),
-                          estimate=SimpleNamespace(beta_tilde=np.zeros(1)),
-                          sigma=np.ones(1))
+        fit = _unit_fit(0)
         # Conditioned statistics half 0 and half 1 (or normal quantiles
         # where fewer than 10 condition) reject both grid ends, so the
         # scans run inward over rescue points.
-        seen, bracketed = {}, _PathSweep.bracketed
+        seen, bracketed = {}, _ThetaTest.bracketed
 
         def record(sweep, theta):
             seen[theta] = bracketed(sweep, theta)
@@ -616,7 +657,7 @@ class TestGridSweep:
 
         monkeypatch.setattr(engine, "statistics_batch",
                             _fixed_statistics(np.tile([0.0, 1.0], B // 2)))
-        monkeypatch.setattr(_PathSweep, "bracketed", record)
+        monkeypatch.setattr(_ThetaTest, "bracketed", record)
         hybrid_ci_two_sided(engine, fit, 0, rs, 0.1)
         assert set(c0.tolist()) & set(seen)
         for theta, (sel, resid, _) in seen.items():
@@ -676,21 +717,66 @@ class TestHybridTwoSided:
             assert rep.diagnostics["clipped_high"] is clipped
             assert rep.diagnostics["fallbacks"] == 0
 
-    @pytest.mark.parametrize("engine_side", [SIDE_ONE, SIDE_TWO])
-    def test_engine_side_must_match_bound(self, engine_side):
-        # The side comes from the engine, so a bound handed the other
-        # side's engine refuses rather than mixing the two statistics.
-        ds, _ = small_problem(3, n=120, p=20, setting="IID")
-        engine = StatisticEngine(ds.X, StatConfig(side=engine_side))
-        fit = engine.fit(ds.Y)
-        rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=30, seed=3, kmax=5)
-        other = hybrid_ci_two_sided if engine_side == SIDE_ONE else hybrid_ci_one_sided
-        with pytest.raises(ValueError, match="sided statistic"):
-            other(engine, fit, int(fit.j_hat[0]), rs, 0.1)
-
     def test_two_sided_tail_convention(self):
         # Nominal 80% two-sided coverage means alpha = 0.1 in each tail.
         assert np.isclose(norm.ppf(1 - 0.1 / 2), 1.6449, atol=1e-4)
+
+
+class TestThetaTest:
+    """One test at theta per bound, on a statistic that has no side."""
+
+    @staticmethod
+    def _case(setting):
+        """A 150x120 dataset and its resample set, and the engine of a side."""
+        ds, _ = small_problem(5, n=150, p=120, setting=setting)
+        engine = lambda side: StatisticEngine(ds.X, StatConfig(kmax=5, q=1, side=side))
+        one = engine(SIDE_ONE)
+        fit = one.fit(ds.Y)
+        rs = generate_w(ds, fit.j_hat, one.factors.F_hat, B=50, seed=5, kmax=5)
+        return ds, rs, engine
+
+    @pytest.mark.parametrize("setting", ["IID", "GARCH"])
+    @pytest.mark.parametrize("shared_side", [SIDE_ONE, SIDE_TWO])
+    def test_one_engine_serves_both_sides(self, setting, shared_side):
+        ds, rs, engine = self._case(setting)
+        shared = engine(shared_side)
+        shared_fit = shared.fit(ds.Y)
+        for side, bound, alpha in ((SIDE_ONE, hybrid_ci_one_sided, 0.2),
+                                   (SIDE_TWO, hybrid_ci_two_sided, 0.1)):
+            own = engine(side)
+            own_fit = own.fit(ds.Y)
+            for j in shared_fit.j_hat.tolist():
+                got = bound(shared, shared_fit, j, rs, alpha)
+                want = bound(own, own_fit, j, rs, alpha)
+                assert (got.lower, got.upper) == (want.lower, want.upper), (side, j)
+                assert got.diagnostics == want.diagnostics, (side, j)
+
+    @pytest.mark.parametrize("side", [SIDE_ONE, SIDE_TWO])
+    def test_one_test_and_one_hdbic_per_evaluation(self, side, monkeypatch):
+        ds, rs, make_engine = self._case("LAI")
+        engine = make_engine(side)
+        fit = engine.fit(ds.Y)
+        bound = hybrid_ci_one_sided if side == SIDE_ONE else hybrid_ci_two_sided
+        hdbic_calls, tests = [], []
+
+        def spy(*args):
+            hdbic_calls.append(args)
+            return hdbic(*args)
+
+        class Counted(_ThetaTest):
+            def __init__(self, *args):
+                tests.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(hybrid, "hdbic", spy)
+        monkeypatch.setattr(hybrid, "_ThetaTest", Counted)
+        for j in fit.j_hat.tolist():
+            hdbic_calls.clear()
+            tests.clear()
+            diag = bound(engine, fit, j, rs, 0.2 if side == SIDE_ONE else 0.1).diagnostics
+            assert diag["statistics"] > 0
+            assert len(tests) == 1
+            assert len(hdbic_calls) == diag["evaluations"]
 
 
 class TestCallOrder:
