@@ -10,8 +10,9 @@ that test once, as a ``_ThetaTest``, which gives the signed statistics
 bound their magnitudes. The one-sided bound inverts the test by
 bisection, reusing a resample's greedy path between two evaluated thetas
 at which it is the same; the two-sided bound scans a grid inward from both
-ends to the hull of its acceptance region, reusing each resample's greedy
-path over the theta-interval on which it provably holds.
+ends at once to the hull of its acceptance region, one greedy batch per
+round for both ends, reusing each resample's greedy path over the
+theta-interval on which it provably holds.
 
 A resample's statistic depends on theta only through its selected set J.
 Its response is y_b(theta) = a_b + theta x_j and the projected design
@@ -57,7 +58,7 @@ GRID_HALF_WIDTH = 4.0
 # standard errors inside the end of the interval on which it holds.
 REUSE_MARGIN = 1e-9
 # A grid scan computes a resample's next path early, in the batch of the
-# point it visits, when that path's anchor is at most this many points
+# round it is in, when that path's anchor is at most this many points
 # ahead: fewer, larger batches, and few paths past where the scan stops.
 _LOOKAHEAD = 4
 
@@ -143,20 +144,6 @@ def _order_statistic(values: np.ndarray, level: float) -> float:
     return float(np.sort(values)[k - 1])
 
 
-def _synthetic_batch(X: np.ndarray, rs: ResampleSet, j: int,
-                     theta: float | np.ndarray,
-                     members: slice | np.ndarray = slice(None)) -> np.ndarray:
-    """Synthetic responses of the resamples ``members`` at theta.
-
-    ``theta`` is one value or one per member; each column is computed with
-    the same operations either way.
-    """
-    pos = int(np.flatnonzero(rs.j_hat == j)[0])
-    base = X[:, rs.j_hat] @ rs.beta_tilde
-    shift = np.asarray(theta) - rs.beta_tilde[pos]
-    return base[:, None] + rs.w_b[members].T + shift * X[:, j][:, None]
-
-
 def invert_lower_bound(observed_stat, u_upper, start: float,
                        sigma: float) -> tuple[float, dict]:
     """Bisection for the boundary where the observed statistic meets u_upper.
@@ -203,6 +190,22 @@ def invert_lower_bound(observed_stat, u_upper, start: float,
     return float(0.5 * (a + r)), diag
 
 
+class _Scan:
+    """A walk over the points of a grid in order, for one ``_ThetaTest``.
+
+    ``toward`` is +1 if ``thetas`` increase and -1 if they decrease,
+    ``i`` the next point to visit, ``segs_at[i, b]`` the segment that
+    serves resample b at point i, and ``nxt[b]`` the first point that its
+    segments do not serve yet.
+    """
+
+    def __init__(self, thetas: np.ndarray, B: int):
+        self.thetas, self.i = thetas, 0
+        self.toward = -1 if len(thetas) > 1 and thetas[-1] < thetas[0] else 1
+        self.segs_at = np.empty((len(thetas), B), dtype=int)
+        self.nxt = np.zeros(B, dtype=int)
+
+
 class _ThetaTest:
     """The resampling test at theta that one bound on column j inverts.
 
@@ -218,11 +221,11 @@ class _ThetaTest:
     is a segment of ``seg``, anchored at the theta it was computed at;
     where it holds, its residual norms at t = theta - anchor are
     sqrt(rss + 2 t C_d + t^2 D_d) (``oga_path_batch`` along column j).
-    Every evaluation reads its paths from ``bracketed``; ``scan`` only
-    fills the visits of a grid ahead of it. Two rules say where a path
-    holds:
+    Every evaluation reads its paths from ``bracketed``; ``visit`` only
+    fills the visits of the grid scans (``_Scan``) ahead of it. Two rules
+    say where a path holds:
 
-    - ``scan``: from the anchor for ``hold`` in the scan's direction, the
+    - ``visit``: from the anchor for ``hold`` in the scan's direction, the
       end ``oga_path_batch`` bounds along x_j (see ``_compute``).
     - ``bracketed``: between two visited thetas at which the resample's
       paths are the same (same picks, same signs, all kn steps, no n-space
@@ -252,7 +255,11 @@ class _ThetaTest:
         self.sigma = float(fit.sigma[pos])
         self.engine, self.rs, self.j = engine, rs, j
         self.margin = REUSE_MARGIN * self.sigma
-        self.seg: dict[str, np.ndarray] = {}
+        # The combined fit X_J beta~ and the coefficient on j it holds.
+        self.base = engine.X[:, rs.j_hat] @ rs.beta_tilde
+        self.beta_j = rs.beta_tilde[int(np.flatnonzero(rs.j_hat == j)[0])]
+        self.seg: dict[str, np.ndarray] = {}  # segment fields, rows < paths
+        self.paths = 0  # resample paths computed so far
         self.visits: dict[float, np.ndarray] = {}  # theta -> segments there
         self.statistics: dict[tuple, float] = {}  # (resample, J) -> statistic
         self.counts = dict(evaluations=0, failures=0, statistics=0,
@@ -281,9 +288,8 @@ class _ThetaTest:
         fresh = [key for key in keys if key not in self.statistics]
         if fresh:
             members = np.array([b for b, _ in fresh])
-            stats, _ = e.statistics_batch(
-                _synthetic_batch(e.X, self.rs, j, theta, members), j, theta,
-                [J for _, J in fresh])
+            stats, _ = e.statistics_batch(self.synthetic(theta, members), j,
+                                          theta, [J for _, J in fresh])
             self.statistics.update(zip(fresh, stats))
         values = np.array([self.statistics[key] for key in keys])
         self.counts["evaluations"] += 1
@@ -303,38 +309,55 @@ class _ThetaTest:
                                   self.counts, **diag, paths=self.paths,
                                   paths_reused=reused))
 
+    def synthetic(self, theta: float | np.ndarray,
+                  members: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """Synthetic responses of the resamples ``members`` at theta.
+
+        ``theta`` is one value or one per member; each column is computed
+        with the same operations either way.
+        """
+        shift = np.asarray(theta) - self.beta_j
+        return (self.base[:, None] + self.rs.w_b[members].T
+                + shift * self.engine.X[:, self.j][:, None])
+
     def _compute(self, members: np.ndarray, thetas: np.ndarray,
-                 toward: int = 0) -> np.ndarray:
+                 toward: int | np.ndarray = 0) -> np.ndarray:
         """Paths of resamples ``members`` at ``thetas``; their segment ids.
 
-        With ``toward`` +1 (-1) a segment's ``hold`` is how far above
-        (below) its anchor it provably holds; with 0 its interval is its
-        anchor alone. The path of y - t x_j is that of -y + t x_j, so the
-        hold below is the ``hi`` of -y, whose path has y's picks, residual
-        norms, ``rss``, ``d_d`` and ``exact`` and the negated ``c_d`` and
-        signs.
+        ``toward`` is one direction for every member or one per member.
+        With +1 (-1) a segment's ``hold`` is how far above (below) its
+        anchor it provably holds; with 0 its interval is its anchor alone.
+        The path of y - t x_j is that of -y + t x_j, so a member held below
+        enters the batch as -y, whose path has y's picks, residual norms,
+        ``rss``, ``d_d`` and ``exact`` and the negated ``c_d`` and signs,
+        which are negated back. Members of both directions share one
+        batch; a path's bits depend on the batch it is computed in (see
+        ``oga_path_batch``), its picks and signs do not.
         """
         e = self.engine
-        Y = _synthetic_batch(e.X, self.rs, self.j, thetas, members)
+        Y = self.synthetic(thetas, members)
+        flip = np.broadcast_to(np.where(np.asarray(toward) < 0, -1.0, 1.0),
+                               len(members))
         found: dict = {}
-        sel, _, m_actual = oga_path_batch(e.X, -Y if toward < 0 else Y, e.kn,
-                                          e.col_norms, e.gram, direction=self.j,
-                                          along=found, bounds=bool(toward))
-        if toward < 0:
-            found.update(c_d=-found["c_d"], sign=-found["sign"])
+        sel, _, m_actual = oga_path_batch(e.X, Y * flip, e.kn, e.col_norms,
+                                          e.gram, direction=self.j, along=found,
+                                          bounds=bool(np.any(toward)))
         new = dict(theta=thetas, hold=found.get("hi", np.zeros(len(members))),
-                   sel=sel, m=m_actual, rss=found["rss"], c_d=found["c_d"],
-                   d_d=found["d_d"], sign=found["sign"], exact=found["exact"],
+                   sel=sel, m=m_actual, rss=found["rss"],
+                   c_d=found["c_d"] * flip[:, None], d_d=found["d_d"],
+                   sign=found["sign"] * flip[:, None], exact=found["exact"],
                    yy=np.einsum("nb,nb->b", Y, Y), xy=e.X[:, self.j] @ Y)
-        start = self.paths
-        self.seg = {key: np.concatenate([self.seg[key], value]) if self.seg else value
-                    for key, value in new.items()}
-        return start + np.arange(len(members))
-
-    @property
-    def paths(self) -> int:
-        """Resample paths computed so far."""
-        return len(self.seg.get("theta", ()))
+        start, end = self.paths, self.paths + len(members)
+        if end > len(self.seg.get("theta", ())):  # grow by doubling
+            old, size = self.seg, max(end, 2 * start)
+            self.seg = {key: np.empty((size,) + value.shape[1:], value.dtype)
+                        for key, value in new.items()}
+            for key, value in old.items():
+                self.seg[key][:start] = value[:start]
+        for key, value in new.items():
+            self.seg[key][start:end] = value
+        self.paths = end
+        return np.arange(start, end)
 
     def _rss(self, theta: float | np.ndarray, segs: np.ndarray) -> np.ndarray:
         """Per-step residual sums of squares of segments ``segs`` at theta."""
@@ -354,35 +377,49 @@ class _ThetaTest:
         return np.all(self._rss(theta, segs) >= RSS_RESCUE_TOL * yy[:, None],
                       axis=1)
 
-    def scan(self, thetas: np.ndarray):
-        """Visit the points of a grid in order, thetas increasing or decreasing.
+    def visit(self, rounds: list[tuple[_Scan, int]]) -> None:
+        """Visit the next point of each scan in ``rounds``, one batch for all.
 
-        A generator: it yields each point's position in ``thetas`` once
-        the point is visited, so a caller that stops early computes no
-        path for the points after it. Each round computes, in one batch,
-        the path of every resample whose first point not yet served lies
-        within ``_LOOKAHEAD`` points of the next to visit, at that point.
-        From its anchor on, the path serves the later points that lie
+        ``rounds`` pairs each scan with the last of its points it may still
+        visit. When some resample's segments do not serve some scan's next
+        point, each scan computes the path of every resample whose first
+        point not yet served lies within ``_LOOKAHEAD`` points of its next,
+        and not past its last, at that point: all in one ``_compute`` call.
+        From its anchor on, a path serves the scan's later points that lie
         before the end of its hold, up to the first where it does not hold.
+        A path is anchored at the first point its resample's earlier paths
+        do not serve, so how the rounds batch paths changes which are
+        computed past where a scan stops, not where the others are anchored.
         """
-        toward = -1 if len(thetas) > 1 and thetas[-1] < thetas[0] else 1
-        segs_at = np.empty((len(thetas), self.rs.w_b.shape[0]), dtype=int)
-        nxt = np.zeros(segs_at.shape[1], dtype=int)
-        for i, theta in enumerate(thetas.tolist()):
-            if (nxt == i).any():
-                members = np.flatnonzero(nxt <= min(i + _LOOKAHEAD, len(thetas) - 1))
-                segs = self._compute(members, thetas[nxt[members]], toward)
-                t = toward * (thetas - self.seg["theta"][segs][:, None])
-                ahead = t > 0.0
-                b, g = np.nonzero(ahead & (t < self.seg["hold"][segs][:, None]
-                                           - self.margin))
-                serves = ~ahead
-                serves[b, g] = self._holds(thetas[g], segs[b])
-                serves = np.logical_and.accumulate(serves, axis=1) & (t >= 0.0)
-                segs_at[:, members] = np.where(serves.T, segs, segs_at[:, members])
-                nxt[members] += np.count_nonzero(serves, axis=1)
-            self.visits[theta] = segs_at[i]
-            yield i
+        if any((scan.nxt == scan.i).any() for scan, _ in rounds):
+            due = [np.flatnonzero(scan.nxt <= min(scan.i + _LOOKAHEAD, last))
+                   for scan, last in rounds]
+            sizes = [len(members) for members in due]
+            segs = self._compute(
+                np.concatenate(due),
+                np.concatenate([scan.thetas[scan.nxt[members]]
+                                for (scan, _), members in zip(rounds, due)]),
+                np.repeat([scan.toward for scan, _ in rounds], sizes))
+            for (scan, _), members, ids in zip(rounds, due,
+                                               np.split(segs, np.cumsum(sizes)[:-1])):
+                if len(members):
+                    self._serve(scan, members, ids)
+        for scan, _ in rounds:
+            self.visits[float(scan.thetas[scan.i])] = scan.segs_at[scan.i]
+            scan.i += 1
+
+    def _serve(self, scan: _Scan, members: np.ndarray, segs: np.ndarray) -> None:
+        """Mark the points of ``scan`` that segments ``segs`` of resamples
+        ``members`` serve, from each anchor on."""
+        thetas = scan.thetas
+        t = scan.toward * (thetas - self.seg["theta"][segs][:, None])
+        ahead = t > 0.0
+        b, g = np.nonzero(ahead & (t < self.seg["hold"][segs][:, None] - self.margin))
+        serves = ~ahead
+        serves[b, g] = self._holds(thetas[g], segs[b])
+        serves = np.logical_and.accumulate(serves, axis=1) & (t >= 0.0)
+        scan.segs_at[:, members] = np.where(serves.T, segs, scan.segs_at[:, members])
+        scan.nxt[members] += np.count_nonzero(serves, axis=1)
 
     def bracketed(self, theta: float) -> tuple[np.ndarray, ...]:
         """``(sel, resid_norms, m_actual)`` at theta, in any order of thetas.
@@ -462,14 +499,16 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
     the evaluations that used normal quantiles.
 
     The grid is scanned upward from its low end and downward from its high
-    end, each scan stopping at its first accepted point, so the points
+    end in lockstep, each scan stopping at its first accepted point (an
+    end that finds none stops where it meets the other), so the points
     between the hull's ends are evaluated only for what they can still
     change: whether some grid point or midpoint fell back. They are scanned
     upward, up to the first fallback, only when no evaluation so far fell
     back and no end was accepted (``interior_scanned``). The bounds and
     flags are those of evaluating every grid point; the counts are over
     the points evaluated. The test at theta is one ``_ThetaTest``, whose
-    ``scan`` serves the grid and reuses greedy paths and statistics as in
+    ``visit`` serves the grid, with one greedy batch per round for both
+    ends, and reuses greedy paths and statistics as in
     :func:`hybrid_ci_one_sided`.
     """
     test = _ThetaTest(engine, fit, j, rs)
@@ -498,16 +537,34 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
         results[i] = accepted(float(grid[i]))
         return results[i][0]
 
-    upward = test.scan(grid)
-    lo_idx = next((i for i in upward if inside(i)), None)
-    if lo_idx is None:  # the upward scan evaluated every grid point
+    top, B = len(grid) - 1, rs.w_b.shape[0]
+    up, down = _Scan(grid, B), _Scan(grid[::-1], B)
+    lo_idx = hi_idx = None
+    # The points not yet visited are up.i to top - down.i. Each round visits
+    # the next point of each end still scanning, one batch for both; the
+    # last point left is the low end's. An end scans until it accepts.
+    while (lo_idx is None or hi_idx is None) and up.i <= top - down.i:
+        u, d = up.i, top - down.i
+        going_up = lo_idx is None
+        going_down = hi_idx is None and (d > u or not going_up)
+        rounds = []
+        if going_up:
+            rounds.append((up, d - going_down))
+        if going_down:
+            rounds.append((down, top - u - going_up))
+        test.visit(rounds)
+        if going_up and inside(u):
+            lo_idx = u
+        if going_down and inside(d):
+            hi_idx = d
+    if lo_idx is None and hi_idx is None:  # every grid point was evaluated
         best = float(grid[min(results, key=lambda i: results[i][1])])
         return test.report(best, best, alpha, **diag, clipped_low=False,
                            clipped_high=False, interior_scanned=False,
                            empty_region=True)
-    top = len(grid) - 1
-    hi_idx = next((top - k for k in test.scan(grid[:lo_idx:-1]) if inside(top - k)),
-                  lo_idx)
+    # An end that met the other's accepted point ends there.
+    lo_idx, hi_idx = (hi_idx if lo_idx is None else lo_idx,
+                      lo_idx if hi_idx is None else hi_idx)
     diag.update(clipped_low=lo_idx == 0, clipped_high=hi_idx == top)
 
     theta_l = float(grid[lo_idx])
@@ -518,8 +575,9 @@ def hybrid_ci_two_sided(engine: StatisticEngine, fit: PipelineFit, j: int,
         theta_u = float(mid)
     diag["interior_scanned"] = not (diag["fallbacks"] or lo_idx == 0 or hi_idx == top)
     if diag["interior_scanned"]:
-        for _ in range(lo_idx + 1, hi_idx):
-            accepted(float(grid[next(upward)]))
+        while up.i < hi_idx:
+            test.visit([(up, hi_idx - 1)])
+            accepted(float(grid[up.i - 1]))
             if diag["fallbacks"]:
                 break
     return test.report(theta_l, theta_u, alpha, **diag, empty_region=False)

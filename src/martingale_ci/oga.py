@@ -169,6 +169,13 @@ def oga_path_batch(
     a ``direction`` column d, ``along`` is filled with what each path says
     along x_d, and with ``bounds`` also with how far along it holds (see
     :func:`_greedy_paths`).
+
+    A path's bits depend on the other responses in its batch: C = Y'X is
+    one matrix product, whose rounding changes with the batch width. So
+    splitting or merging a batch keeps every response's picks, path
+    length, signs and ``exact`` flag but may move its residual norms,
+    ``rss``, ``c_d`` and ``hi`` by rounding. A batch of the same responses
+    gives the same bits whatever ran before it.
     """
     sel, resid_norms, m_actual, *_ = _greedy_paths(X, Y_batch, kn, col_norms,
                                                    gram, direction, along,
@@ -213,16 +220,18 @@ def _greedy_paths(
     if col_norms is None:
         col_norms = np.linalg.norm(X, axis=0)
     safe_norms = np.where(col_norms <= 0.0, 1.0, col_norms)
+    zero = np.flatnonzero(col_norms <= 0.0)
     yy = np.einsum("nb,nb->b", Y_batch, Y_batch)
     stop_tol = RESIDUAL_TOL * np.sqrt(yy)
 
     C = Y_batch.T @ X  # (B, p): correlations X'U with the current residuals
-    XtQ = np.zeros((B, kn, p))  # rows q_i'X of the implicit Q
+    XtQ = np.zeros((kn, B, p))  # rows q_k'X of the implicit Q, step-major
+    QtX = XtQ.transpose(1, 0, 2)  # the same rows by response, (B, kn, p)
     rss, Rs, beta_q = yy.copy(), np.zeros((B, kn, kn)), np.zeros((B, kn))
     sel, m_actual = np.full((B, kn), -1, dtype=int), np.zeros(B, dtype=int)
     resid_norms = np.full((B, kn), np.nan)
-    excluded = np.tile(col_norms <= 0.0, (B, 1))  # zero and selected columns
     active, rows = np.ones(B, dtype=bool), np.arange(B)
+    dependent_tol, rescue_tol = DEPENDENT_TOL * col_norms, RSS_RESCUE_TOL * yy
     if direction is not None:
         dd = np.full(B, X[:, direction] @ X[:, direction])  # x_d'(I-P_k)x_d
         rss_k, c_d, d_d = (np.full((B, kn), np.nan) for _ in range(3))
@@ -232,29 +241,38 @@ def _greedy_paths(
         top = np.zeros(B)  # 1/hi so far
         stop_slope = RESIDUAL_TOL * col_norms[direction]  # ||y+tx_d|| growth
 
-    for k in range(kn):
-        scores = np.abs(C) / safe_norms
-        scores[excluded] = -1.0
-        j_pick = np.argmax(scores, axis=1)
-        active &= scores[rows, j_pick] > stop_tol
-        G_j = X[:, j_pick].T @ X if gram is None else gram[j_pick]  # (B, p)
-        g_jj = G_j[rows, j_pick]
-        r1 = XtQ[rows, :k, j_pick]  # (B, k) = Q'x_j
-        r2sq = g_jj - np.einsum("bk,bk->b", r1, r1)
-        r2 = np.sqrt(np.maximum(r2sq, 0.0))
-        if direction is not None:
-            exact &= r2sq >= 1e-6 * g_jj
-        if bounds:
-            top = np.maximum(top, _pick_bound(
-                C / safe_norms, D / safe_norms, rows, j_pick,
-                scores[rows, j_pick] - stop_tol, stop_slope))
-        with np.errstate(divide="ignore", invalid="ignore"):  # stopped paths
-            # G_j is a fresh gather, so q'X is formed in its place.
-            xq = np.subtract(G_j, np.matmul(r1[:, None, :], XtQ[:, :k])[:, 0], out=G_j)
+    # Every path takes every step; a stopped path's steps are wiped at the
+    # end, so what they compute (NaN, inf) is never read.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(kn):
+            a = C / safe_norms  # normalized correlations
+            scores = np.abs(a)
+            scores[rows[:, None], sel[:, :k]] = -1.0
+            if zero.size:
+                scores[:, zero] = -1.0
+            j_pick = np.argmax(scores, axis=1)
+            best = scores[rows, j_pick]
+            active &= best > stop_tol
+            xq = XtQ[k]  # the picks' Gram rows x_j'X, turned into q'X below
+            if gram is None:
+                np.matmul(X[:, j_pick].T, X, out=xq)
+            else:
+                np.take(gram, j_pick, axis=0, out=xq)
+            g_jj = xq[rows, j_pick]
+            r1 = QtX[rows, :k, j_pick]  # (B, k) = Q'x_j
+            r2sq = g_jj - np.einsum("bk,bk->b", r1, r1)
+            r2 = np.sqrt(np.maximum(r2sq, 0.0))
+            far = r2sq >= 1e-6 * g_jj
+            if direction is not None:
+                exact &= far
+            if bounds:
+                top = np.maximum(top, _pick_bound(a, D / safe_norms, rows, j_pick,
+                                                  best - stop_tol, stop_slope))
+            xq -= np.matmul(r1[:, None, :], QtX[:, :k])[:, 0]
             xq /= r2[:, None]
             bq = C[rows, j_pick] / r2
             # Cancellation in r2^2: the distance to the span in n-space.
-            for b in (active & ~(r2sq >= 1e-6 * g_jj)).nonzero()[0]:
+            for b in np.flatnonzero(active & ~far):
                 Q = np.linalg.qr(X[:, sel[b, :k]])[0]
                 qt = X[:, j_pick[b]] - Q @ (Q.T @ X[:, j_pick[b]])
                 qt -= Q @ (Q.T @ qt)
@@ -262,35 +280,33 @@ def _greedy_paths(
                 xq[b], bq[b] = qt @ X / r2[b], qt @ Y_batch[:, b] / r2[b]
             if bounds:
                 D -= xq * (D[rows, j_pick] / r2)[:, None]
-        active &= r2 > DEPENDENT_TOL * col_norms[j_pick]
-        if not active.any():
-            break
+            active &= r2 > dependent_tol[j_pick]
+            if not active.any():
+                break
 
-        upd = slice(None) if active.all() else active  # a view when all run
-        C[upd] -= xq[upd] * bq[upd, None]
-        XtQ[upd, k] = xq[upd]
-        Rs[upd, :k, k] = r1[upd]
-        Rs[upd, k, k] = r2[upd]
-        beta_q[upd, k] = bq[upd]
-        sel[upd, k] = j_pick[upd]
-        excluded[rows[upd], j_pick[upd]] = True
-        rss[upd] -= bq[upd] ** 2
-        # Cancellation in ||y||^2 - sum bq^2: recompute y - X_J beta.
-        rescue = (active & (rss < RSS_RESCUE_TOL * yy)).nonzero()[0]
-        for b in rescue:
-            beta = solve_triangular(Rs[b, :k + 1, :k + 1], beta_q[b, :k + 1])
-            u = Y_batch[:, b] - X[:, sel[b, :k + 1]] @ beta
-            rss[b], C[b] = u @ u, u @ X
-        resid_norms[upd, k] = np.sqrt(rss[upd])
-        m_actual[upd] = k + 1
-        if direction is not None:
-            exact[rescue] = False
-            dd[upd] -= xq[upd, direction] ** 2
-            rss_k[:, k], c_d[:, k], d_d[:, k] = rss, C[:, direction], dd
+            C -= xq * bq[:, None]
+            Rs[:, :k, k] = r1
+            Rs[:, k, k] = r2
+            beta_q[:, k] = bq
+            sel[:, k] = j_pick
+            rss -= bq ** 2
+            # Cancellation in ||y||^2 - sum bq^2: recompute y - X_J beta.
+            rescue = np.flatnonzero(active & (rss < rescue_tol))
+            for b in rescue:
+                beta = solve_triangular(Rs[b, :k + 1, :k + 1], beta_q[b, :k + 1])
+                u = Y_batch[:, b] - X[:, sel[b, :k + 1]] @ beta
+                rss[b], C[b] = u @ u, u @ X
+            resid_norms[:, k] = np.sqrt(rss)
+            m_actual += active
+            if direction is not None:
+                exact[rescue] = False
+                dd -= xq[:, direction] ** 2
+                rss_k[:, k], c_d[:, k], d_d[:, k] = rss, C[:, direction], dd
 
+    past = np.arange(kn) >= m_actual[:, None]  # steps after a path stopped
+    sel[past], resid_norms[past], beta_q[past] = -1, np.nan, 0.0
+    Rs.transpose(0, 2, 1)[past] = 0.0
     if direction is not None:
-        # Entries of a stopped path past its end are stale.
-        past = np.arange(kn) >= m_actual[:, None]
         for steps in (rss_k, c_d, d_d):
             steps[past] = np.nan
         exact &= m_actual == kn
@@ -319,9 +335,10 @@ def _pick_bound(a, b, rows, j_pick, slack, stop_slope):
     sb = (np.sign(a[rows, j_pick]) * b[rows, j_pick])[:, None]
     s_a = np.abs(a[rows, j_pick])[:, None]
     a[rows, j_pick] = b[rows, j_pick] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = (b - sb) / (s_a - a)
-        down = (-b - sb) / (s_a + a)  # c / r, so a tie's r is +0
-        # Not stopping: s a_J + t s b_J > stop_tol (1 + t ||x_d|| / ||y||).
-        stop_up = (stop_slope - sb[:, 0]) / slack
-    return np.maximum(np.maximum(up.max(axis=1), down.max(axis=1)), stop_up)
+    up = b - sb
+    up /= s_a - a
+    down = b + sb
+    down /= s_a + a  # -c / r, so a tie's r is +0
+    # Not stopping: s a_J + t s b_J > stop_tol (1 + t ||x_d|| / ||y||).
+    stop_up = (stop_slope - sb[:, 0]) / slack
+    return np.maximum(np.maximum(up.max(axis=1), -down.min(axis=1)), stop_up)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from _oracles import fit_pipeline, test_statistic as eval_statistic
+from _oracles import fit_pipeline, synthetic_batch, test_statistic as eval_statistic
 from martingale_ci import hybrid
 from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.hybrid import (
@@ -14,8 +14,8 @@ from martingale_ci.hybrid import (
     MIN_CONDITIONED,
     StatisticEngine,
     _order_statistic,
+    _Scan,
     _ThetaTest,
-    _synthetic_batch,
     hybrid_ci_one_sided,
     hybrid_ci_two_sided,
     invert_lower_bound,
@@ -135,7 +135,7 @@ class TestStatisticEngine:
         j = int(fit.j_hat[0])
         rs = generate_w(ds, fit.j_hat, engine.factors.F_hat, B=40, seed=3, kmax=5)
         theta = float(fit.estimate.beta_tilde[0] - fit.sigma[0])
-        Yb = _synthetic_batch(ds.X, rs, j, theta)
+        Yb = synthetic_batch(ds.X, rs, j, theta)
         sel, rn, m = oga_path_batch(ds.X, Yb, engine.kn)
         sets = {tuple(sel[b, :hdbic(rn[b, :m[b]], ds.n, ds.p)]) for b in range(40)}
         assert len(sets) >= 3
@@ -172,7 +172,7 @@ class TestStatisticConstantInTheta:
             for b in (0, 9, 19):
                 got = []
                 for theta in thetas:
-                    Y = _synthetic_batch(ds.X, rs, j, theta, [b])
+                    Y = synthetic_batch(ds.X, rs, j, theta, [b])
                     est, V = engine.estimate(J, Y)
                     got.append((est.beta_tilde[pos, 0] - theta, V[0, pos, pos]))
                 got = np.array(got)
@@ -312,7 +312,7 @@ def _per_theta_lower(engine, fit, j, rs, alpha):
              "min_conditioned": np.inf, "failures": 0}
 
     def u_upper(theta):
-        Y = _synthetic_batch(engine.X, rs, j, theta)
+        Y = synthetic_batch(engine.X, rs, j, theta)
         paths = oga_path_batch(engine.X, Y, engine.kn, engine.col_norms)
         visits.append((theta, paths))
         stats, selected = engine.statistics_batch(
@@ -440,7 +440,7 @@ def _per_theta_interval(engine, fit, j, rs, alpha):
     at = {}
 
     def accepted(theta):
-        Y = _synthetic_batch(engine.X, rs, j, theta)
+        Y = synthetic_batch(engine.X, rs, j, theta)
         paths = oga_path_batch(engine.X, Y, engine.kn, engine.col_norms)
         stats, selected = engine.statistics_batch(
             Y, j, theta, selected_sets(paths, *engine.X.shape))
@@ -595,7 +595,10 @@ class TestGridSweep:
         _, sweep = TestBracketReuse._orthogonal_sweep(y)
         assert sweep.margin == hybrid.REUSE_MARGIN > 0.0
         thetas = np.array([-3.0, -3.0 + hold - short * sweep.margin])
-        assert list(sweep.scan(thetas)) == [0, 1]
+        scan = _Scan(thetas, 1)
+        for _ in thetas:
+            sweep.visit([(scan, 1)])
+        assert scan.i == 2
         assert sweep.paths == (1 if reused else 2)
         assert (sweep.visits[thetas[1]][0] == sweep.visits[thetas[0]][0]) == reused
 
@@ -629,6 +632,65 @@ class TestGridSweep:
         assert diag[flag] and not diag["interior_scanned"]
         assert diag["evaluations"] == evaluations
 
+    def test_mixed_directions_match_separate_calls(self):
+        # One batch of upward and downward members (the latter as -y) gives
+        # each member the picks, signs and flags of y's own path and the
+        # hold of a call for its own direction; a hold may move by rounding
+        # (see TestBatchComposition).
+        engine, fit, rs = _two_sided_case("GARCH", 0)
+        j, B = int(fit.j_hat[0]), rs.w_b.shape[0]
+        rng = np.random.default_rng(42)
+        members, toward = rng.permutation(B), rng.choice([-1, 1], B)
+        mixed = _ThetaTest(engine, fit, j, rs)
+        thetas = mixed.beta_obs + mixed.sigma * rng.uniform(-4.0, 4.0, B)
+        got = mixed._compute(members, thetas, toward)
+        assert np.array_equal(mixed.synthetic(thetas, members),
+                              synthetic_batch(engine.X, rs, j, thetas, members))
+        upward = _ThetaTest(engine, fit, j, rs)
+        plain = upward._compute(members, thetas, 1)
+        for key in ("theta", "sel", "m", "sign", "exact"):
+            assert np.array_equal(mixed.seg[key][got], upward.seg[key][plain]), key
+        apart, want = _ThetaTest(engine, fit, j, rs), np.empty(B, dtype=int)
+        for side in (1, -1):
+            part = toward == side
+            want[part] = apart._compute(members[part], thetas[part], side)
+        hold = apart.seg["hold"][want]
+        assert np.allclose(mixed.seg["hold"][got], hold, rtol=1e-12, atol=0.0)
+        assert all(np.count_nonzero(hold[toward == side] > 0.0) >= 10 for side in (1, -1))
+
+    def test_one_batch_per_lockstep_round(self, monkeypatch):
+        # A round batches the paths both ends are due in one oga_path_batch
+        # call; the same rounds with one batch per end make more calls.
+        engine, fit, rs = _two_sided_case("GARCH", 0)
+        j = int(fit.j_hat[0])
+        calls, rounds = [], []
+        batch, visit = hybrid.oga_path_batch, _ThetaTest.visit
+
+        def counted_batch(*args, **kwargs):
+            calls.append(args[1].shape[1])
+            return batch(*args, **kwargs)
+
+        def counted_visit(sweep, scans):
+            before = len(calls)
+            visit(sweep, scans)
+            rounds.append((len(scans), len(calls) - before))
+
+        monkeypatch.setattr(hybrid, "oga_path_batch", counted_batch)
+        monkeypatch.setattr(_ThetaTest, "visit", counted_visit)
+        want = hybrid_ci_two_sided(engine, fit, j, rs, 0.1)
+        lockstep = len(calls)
+        assert all(made <= 1 for _, made in rounds)
+        assert sum(ends == 2 and made == 1 for ends, made in rounds) >= 5
+        monkeypatch.setattr(_ThetaTest, "visit",
+                            lambda sweep, scans: [visit(sweep, [scan]) for scan in scans])
+        calls.clear()
+        got = hybrid_ci_two_sided(engine, fit, j, rs, 0.1)
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+        counts = ("paths", "paths_reused")
+        assert {k: v for k, v in got.diagnostics.items() if k not in counts} == \
+            {k: v for k, v in want.diagnostics.items() if k not in counts}
+        assert lockstep < len(calls)
+
     def test_residual_cancelling_on_the_grid_recomputes(self, monkeypatch):
         # Resample b's response at theta is X[:, 1:5] c_b + (theta - c0_b)
         # x_0 with c0_b a grid point: there its last residual cancels and
@@ -661,7 +723,7 @@ class TestGridSweep:
         hybrid_ci_two_sided(engine, fit, 0, rs, 0.1)
         assert set(c0.tolist()) & set(seen)
         for theta, (sel, resid, _) in seen.items():
-            Y_batch = _synthetic_batch(X, rs, 0, theta)
+            Y_batch = synthetic_batch(X, rs, 0, theta)
             want_sel, want_resid, _ = oga_path_batch(X, Y_batch, engine.kn)
             assert np.array_equal(sel, want_sel)
             assert np.array_equal(hdbic(resid, 16, 12), hdbic(want_resid, 16, 12))

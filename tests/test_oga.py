@@ -1,8 +1,12 @@
+import functools
+import importlib
+
 import numpy as np
 import pytest
 
-from _oracles import naive_forward_stepwise
+from _oracles import greedy_paths, naive_forward_stepwise
 from martingale_ci.oga import (
+    _greedy_paths,
     default_iterations,
     hdbic,
     oga,
@@ -519,6 +523,145 @@ class TestGramRows:
                 for key in want_along:
                     assert np.array_equal(got_along[key], want_along[key],
                                           equal_nan=True), key
+
+
+def _pm1_design():
+    """A 16x12 design of orthogonal +-1 columns."""
+    H = np.array([[1.0]])
+    while H.shape[0] < 16:
+        H = np.block([[H, H], [H, -H]])
+    return H[:, 1:13]
+
+
+@functools.cache
+def _oracle_cases():
+    """name -> (X, Yb, kn, d): paths that stop early, meet a zero column and
+    take both n-space steps, along a direction column d."""
+    from martingale_ci.dgp import DgpConfig, generate, make_beta
+
+    rng = np.random.default_rng(40)
+    cases = {}
+    for setting in ("IID", "LAI", "GARCH"):
+        ds = generate(DgpConfig(setting=setting, n=90, p=60, seed=5), make_beta(60))
+        Yb = ds.Y[:, None] + 0.5 * rng.standard_normal((90, 12))
+        cases[setting] = (ds.X, Yb, default_iterations(90, 60),
+                          int(oga(ds.X, ds.Y, 1).j_hat[0]))
+    # A zero column; a zero response stops before its first step, one in the
+    # span of two columns once it is fitted.
+    X = rng.standard_normal((30, 9))
+    X[:, 2] = 0.0
+    Yb = np.column_stack([rng.standard_normal((30, 3)), np.zeros(30),
+                          X[:, [0, 5]] @ [1.0, -2.0]])
+    cases["zero column"] = (X, Yb, 8, 0)
+    # TestGramSpaceRescues: a dependent column stops the path, a
+    # near-dependent one is measured in n-space.
+    E = _basis(30, 8, 11)
+    X = E[:, :6] * np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+    X[:, 4] = X[:, 1] + 1e-4 * E[:, 6]
+    Yb = np.column_stack([X[:, 1] + 10.0 * E[:, 6] + 0.3 * E[:, 7],
+                          X[:, [0, 2, 3, 5]] @ [1.0, 0.7, 0.5, 0.3] + 0.3 * E[:, 7]])
+    cases["distance rescue"] = (X, Yb, 4, 1)
+    X = E[:, :6].copy()
+    X[:, 4] = X[:, 1] + 1e-12 * E[:, 6]
+    cases["dependent column"] = (X, np.column_stack(
+        [X[:, 1] + 10.0 * E[:, 6], X[:, 1] + 5.0 * E[:, 6]]), 4, 1)
+    # The +-1 designs of TestBracketReuse and TestGridSweep along x_0: a
+    # first pick that changes sign, and residuals that cancel (the rss
+    # rescue) where theta puts the response in the span of its picks.
+    X = _pm1_design()
+    noise = 0.1 * np.random.default_rng(23).standard_normal(16)
+    sign = X[:, 1:4] @ [2.0, 1.0, 0.5] + noise
+    cancel = X[:, 1:5] @ [2.0, 1.5, 1.0, 0.5] - X[:, 0]
+    c = rng.uniform(0.5, 2.0, (6, 4)) * rng.choice([-1.0, 1.0], (6, 4))
+    W = c @ X[:, 1:5].T - np.array([1.0, 1.0, 1.0, 0.5, 0.5, -0.5])[:, None] * X[:, 0]
+    Yb = np.column_stack([sign + t * X[:, 0] for t in (-3.0, 0.0, 3.0)]
+                         + [cancel + t * X[:, 0] for t in (0.75, 1.0, 1.25)]
+                         + [W.T + X[:, [0]]])
+    cases["rss rescue"] = (X, Yb, 4, 0)
+    return cases
+
+
+class TestStepOracle:
+    """``_greedy_paths`` against the step-by-step reference in
+    ``_oracles.greedy_paths``: every output and along-entry bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["plain", "along", "bounds"])
+    @pytest.mark.parametrize("case", ["IID", "LAI", "GARCH", "zero column",
+                                      "distance rescue", "dependent column",
+                                      "rss rescue"])
+    def test_matches_reference(self, case, mode):
+        X, Yb, kn, d = _oracle_cases()[case]
+        direction = None if mode == "plain" else d
+        # The whole batch and each response alone (B = 1), with the Gram
+        # rows gathered from X'X and computed per step.
+        for cols in [slice(None)] + [[b] for b in range(Yb.shape[1])]:
+            for gram in (X.T @ X, None):
+                got, want = ({}, {}) if direction is not None else (None, None)
+                args = (X, Yb[:, cols], kn, None, gram, direction)
+                out = _greedy_paths(*args, got, mode == "bounds")
+                ref = greedy_paths(*args, want, mode == "bounds")
+                for x, y in zip(out, ref):
+                    assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+                if direction is not None:
+                    assert got.keys() == want.keys()
+                    for key in want:
+                        assert np.array_equal(got[key], want[key], equal_nan=True), key
+
+    def test_corpus_takes_every_rare_step(self, monkeypatch):
+        oga_module = importlib.import_module("martingale_ci.oga")
+        steps = {"distance": 0, "rss": 0}
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                steps[name] += 1
+                return f(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "qr", counted("distance", np.linalg.qr))
+        monkeypatch.setattr(oga_module, "solve_triangular",
+                            counted("rss", oga_module.solve_triangular))
+        stopped = zero = 0
+        for X, Yb, kn, d in _oracle_cases().values():
+            _, _, m_actual, *_ = _greedy_paths(X, Yb, kn)
+            stopped += int(np.count_nonzero(m_actual < kn))
+            zero += int(np.any(np.linalg.norm(X, axis=0) == 0.0))
+        assert stopped >= 3 and zero == 1
+        assert steps["distance"] >= 1 and steps["rss"] >= 3
+
+
+class TestBatchComposition:
+    """A path's bits depend on which responses share its batch: C = Y'X is
+    one GEMM, whose rounding changes with the batch width. Its picks,
+    signs and flags do not, and its residual norms move only by rounding
+    (here by up to 1.1e-13 relative, at width 1, where y'X is a
+    matrix-vector product)."""
+
+    def test_split_and_merged_batches_agree(self):
+        from martingale_ci.dgp import DgpConfig, generate, make_beta
+
+        ds = generate(DgpConfig(setting="GARCH", n=200, p=250, seed=300),
+                      make_beta(250))
+        X, kn = ds.X, default_iterations(200, 250)
+        d = int(oga(X, ds.Y, 1).j_hat[0])
+        Yb = ds.Y[:, None] + 0.5 * np.random.default_rng(41).standard_normal((200, 60))
+        gram = X.T @ X
+
+        def paths(Y):
+            found = {}
+            sel, resid, m_actual = oga_path_batch(X, Y, kn, None, gram, direction=d,
+                                                  along=found, bounds=True)
+            return sel, resid, m_actual, found
+
+        sel, resid, m_actual, found = paths(Yb)
+        for width in (1, 7, 25, 50):
+            parts = [paths(Yb[:, start:start + width]) for start in range(0, 60, width)]
+            assert np.array_equal(np.concatenate([q[0] for q in parts]), sel)
+            assert np.array_equal(np.concatenate([q[2] for q in parts]), m_actual)
+            for key in ("sign", "exact"):
+                assert np.array_equal(np.concatenate([q[3][key] for q in parts]),
+                                      found[key]), key
+            assert np.allclose(np.concatenate([q[1] for q in parts]), resid,
+                               rtol=1e-12, atol=0.0, equal_nan=True)
 
 
 class TestSelectionScale:
