@@ -11,7 +11,7 @@ Five designs are supported, all of the form ``Y = X beta + eps``:
 - ``MVN``:   rows of X ~ N(0, Sigma) with unit diagonal and 0.2 off-diagonal.
 
 All generators are pure functions of (config, seed): identical inputs give
-bit-identical outputs.
+bit-identical outputs. Each builds X in place, in one array.
 """
 from __future__ import annotations
 
@@ -138,13 +138,16 @@ def _factor_ar_path(rng: np.random.Generator, total: int) -> np.ndarray:
 
 
 def _factor_loaded_design(
-    rng: np.random.Generator, total: int, n_cols: int
+    rng: np.random.Generator, total: int, p: int, first: int = 0
 ) -> np.ndarray:
-    """Predictors x_tj = f_t (1 + |a_j|) + e_tj over ``total`` rows."""
-    a = rng.standard_normal(n_cols)
+    """(total, p) array whose columns from ``first`` on hold the predictors
+    x_tj = f_t (1 + |a_j|) + e_tj; e_t is drawn row by row, one stream."""
+    X = np.empty((total, p))
+    load = 1.0 + np.abs(rng.standard_normal(p - first))
     f = _factor_ar_path(rng, total)
-    e = rng.standard_normal((total, n_cols))
-    return f[:, None] * (1.0 + np.abs(a))[None, :] + e
+    for t in range(total):
+        X[t, first:] = rng.standard_normal(p - first) + f[t] * load
+    return X
 
 
 def generate(cfg: DgpConfig, beta: np.ndarray) -> Dataset:
@@ -162,42 +165,40 @@ def generate(cfg: DgpConfig, beta: np.ndarray) -> Dataset:
 
     if cfg.setting == "LAI":
         f = rng.standard_normal(n)
-        e = rng.standard_normal((n, p))
-        X = f[:, None] + e
+        X = rng.standard_normal((n, p))
+        X += f[:, None]
         eps = rng.standard_normal(n)
         Y = X @ beta + eps
     elif cfg.setting == "IID":
-        X = np.sqrt(2.0) * rng.standard_normal((n, p))
+        X = rng.standard_normal((n, p))
+        X *= np.sqrt(2.0)
         eps = rng.standard_normal(n)
         Y = X @ beta + eps
     elif cfg.setting == "MVN":
         # sqrt(1-rho) Z + sqrt(rho) g 1^T has covariance (1-rho) I + rho J.
-        z = rng.standard_normal((n, p))
+        X = rng.standard_normal((n, p))
         g = rng.standard_normal(n)
-        rho = MVN_OFF_DIAGONAL
-        X = np.sqrt(1.0 - rho) * z + np.sqrt(rho) * g[:, None]
+        X *= np.sqrt(1.0 - MVN_OFF_DIAGONAL)
+        X += np.sqrt(MVN_OFF_DIAGONAL) * g[:, None]
         eps = rng.standard_normal(n)
         Y = X @ beta + eps
     elif cfg.setting == "GARCH":
         total = n + burn
-        X_full = _factor_loaded_design(rng, total, p)
-        eps_full = _garch_errors(rng, total)
-        X = X_full[burn:]
-        eps = eps_full[burn:]
+        X = _factor_loaded_design(rng, total, p)[burn:]
+        eps = _garch_errors(rng, total)[burn:]
         Y = X @ beta + eps
     elif cfg.setting == "AR":
         total = n + burn
-        x_rest = _factor_loaded_design(rng, total, p - 1)
+        X_full = _factor_loaded_design(rng, total, p, first=1)
         eps_full = rng.standard_normal(total)
-        drive = x_rest @ beta[1:] + eps_full
+        drive = X_full[:, 1:] @ beta[1:] + eps_full
         y = np.empty(total)
         prev = 0.0
         for t in range(total):
             prev = beta[0] * prev + drive[t]
             y[t] = prev
-        X = np.empty((n, p))
+        X = X_full[burn:]
         X[:, 0] = y[burn - 1 : total - 1]
-        X[:, 1:] = x_rest[burn:]
         eps = eps_full[burn:]
         Y = y[burn:]
     else:  # pragma: no cover - guarded by DgpConfig

@@ -73,7 +73,8 @@ def estimate_factors(X: np.ndarray, k_max: int) -> FactorEstimate:
     if total == 0.0:
         raise NumericInputError("X is all zeros: it has no factors")
     try:
-        lam, vecs = eigh(G, subset_by_index=[d - k_max, d - 1],
+        # G is exactly symmetric: G.T is G in the Fortran order eigh takes.
+        lam, vecs = eigh(G.T, subset_by_index=[d - k_max, d - 1],
                          overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError("eigendecomposition of the Gram matrix failed") from exc

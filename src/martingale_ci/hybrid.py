@@ -33,8 +33,8 @@ from scipy.special import ndtri
 from .factor_model import complement_projection, estimate_factors
 from .inference import IntervalReport, PipelineFit, StatConfig, covariance
 from .iv_estimator import IvEstimate, fit_selected
-from .oga import (RSS_RESCUE_TOL, default_iterations, hdbic, oga_hdbic,
-                  oga_path_batch)
+from .oga import (RSS_RESCUE_TOL, column_norms, default_iterations, hdbic,
+                  oga_hdbic, oga_path_batch)
 from .resampler import ResampleSet
 
 MIN_RESAMPLES = 20
@@ -78,7 +78,7 @@ class StatisticEngine:
         self.X = np.asarray(X, dtype=float)
         self.cfg = cfg
         self.n, self.p = self.X.shape
-        self.col_norms = np.linalg.norm(self.X, axis=0)
+        self.col_norms = column_norms(self.X)
         self.kn = default_iterations(self.n, self.p)
         self.factors = estimate_factors(self.X, min(cfg.kmax, self.n, self.p))
         self.x_tilde = complement_projection(self.factors.F_hat, self.X)

@@ -68,6 +68,29 @@ class SelectionResult:
     early_stopped: bool = False
 
 
+def column_norms(X: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(X, axis=0)`` bit for bit, with no n x p temporary.
+
+    For a C-ordered X of two or more columns, ``np.linalg.norm`` adds the
+    squares row after row; this adds them in the same order, a block of
+    rows at a time, in unfused multiplies and adds (``einsum`` may fuse
+    them). Any other layout, where ``np.linalg.norm`` may sum a column
+    pairwise, goes to it.
+    """
+    n, p = X.shape
+    if p < 2 or not X.flags.c_contiguous:
+        return np.linalg.norm(X, axis=0)
+    step = max(1, 2**16 // p)  # rows of about 512 kB of squares
+    block = np.empty((step + 1, p))  # row 0 carries the sum so far
+    total = np.zeros(p)
+    for i in range(0, n, step):
+        rows = X[i:i + step]
+        block[0] = total
+        np.multiply(rows, rows, out=block[1:len(rows) + 1])
+        np.add.reduce(block[:len(rows) + 1], axis=0, out=total)
+    return np.sqrt(total)
+
+
 def _scatter_coefficients(
     p: int, j_hat: np.ndarray, R: np.ndarray, beta_q: np.ndarray
 ) -> np.ndarray:
@@ -218,14 +241,14 @@ def _greedy_paths(
     B = Y_batch.shape[1]
     kn = min(kn, n, p)
     if col_norms is None:
-        col_norms = np.linalg.norm(X, axis=0)
+        col_norms = column_norms(X)
     safe_norms = np.where(col_norms <= 0.0, 1.0, col_norms)
     zero = np.flatnonzero(col_norms <= 0.0)
     yy = np.einsum("nb,nb->b", Y_batch, Y_batch)
     stop_tol = RESIDUAL_TOL * np.sqrt(yy)
 
     C = Y_batch.T @ X  # (B, p): correlations X'U with the current residuals
-    XtQ = np.zeros((kn, B, p))  # rows q_k'X of the implicit Q, step-major
+    XtQ = np.empty((kn, B, p))  # rows q_k'X of Q, step-major, each set before read
     QtX = XtQ.transpose(1, 0, 2)  # the same rows by response, (B, kn, p)
     rss, Rs, beta_q = yy.copy(), np.zeros((B, kn, kn)), np.zeros((B, kn))
     sel, m_actual = np.full((B, kn), -1, dtype=int), np.zeros(B, dtype=int)

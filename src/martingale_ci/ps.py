@@ -16,7 +16,7 @@ import numpy as np
 
 from .inference import IntervalReport, truncnorm_sf
 from .iv_estimator import fit_selected
-from .oga import SelectionResult
+from .oga import SelectionResult, column_norms
 
 # |F(delta) - alpha| tolerance for the mean-parameter bisection.
 DELTA_EQUATION_TOL = 1e-6
@@ -45,10 +45,9 @@ class SelectionPolytope:
     @classmethod
     def from_selection(cls, X: np.ndarray, sel: SelectionResult) -> "SelectionPolytope":
         X = np.asarray(X, dtype=float)
-        norms = np.linalg.norm(X, axis=0)
+        norms = column_norms(X)
         usable = norms > 0.0
-        x_hat = np.zeros_like(X)
-        x_hat[:, usable] = X[:, usable] / norms[usable]
+        x_hat = np.divide(X, norms, out=np.zeros_like(X), where=usable)
         winners = sel.j_hat
         signs = np.sign(sel.beta_q)
         signs[signs == 0.0] = 1.0

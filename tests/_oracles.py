@@ -2,6 +2,8 @@
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from martingale_ci.dgp import (BURN_IN, MVN_OFF_DIAGONAL, DgpConfig,
+                               _factor_ar_path, _garch_errors)
 from martingale_ci.hybrid import StatisticEngine
 from martingale_ci.inference import SIDE_ONE, SIDE_TWO, PipelineFit, StatConfig
 from martingale_ci.oga import DEPENDENT_TOL, RESIDUAL_TOL, RSS_RESCUE_TOL
@@ -193,3 +195,46 @@ def pick_bound(a, b, rows, j_pick, slack, stop_slope):
         # Not stopping: s a_J + t s b_J > stop_tol (1 + t ||x_d|| / ||y||).
         stop_up = (stop_slope - sb[:, 0]) / slack
     return np.maximum(np.maximum(up.max(axis=1), down.max(axis=1)), stop_up)
+
+
+def generate_design(cfg: DgpConfig, beta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(X, Y, noise)`` of ``dgp.generate`` by its formulas written out, each
+    term a fresh array, from a fresh generator on the same seed; ``generate``,
+    which builds X in place, must match it bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    n, p, burn = cfg.n, cfg.p, BURN_IN
+    total = n + burn
+
+    def factor_loaded(n_cols):
+        a = rng.standard_normal(n_cols)
+        f = _factor_ar_path(rng, total)
+        e = rng.standard_normal((total, n_cols))
+        return f[:, None] * (1.0 + np.abs(a))[None, :] + e
+
+    if cfg.setting == "LAI":
+        f = rng.standard_normal(n)
+        X = f[:, None] + rng.standard_normal((n, p))
+    elif cfg.setting == "IID":
+        X = np.sqrt(2.0) * rng.standard_normal((n, p))
+    elif cfg.setting == "MVN":
+        z = rng.standard_normal((n, p))
+        g = rng.standard_normal(n)
+        rho = MVN_OFF_DIAGONAL
+        X = np.sqrt(1.0 - rho) * z + np.sqrt(rho) * g[:, None]
+    elif cfg.setting == "GARCH":
+        X = factor_loaded(p)[burn:]
+        eps = _garch_errors(rng, total)[burn:]
+        return X, X @ beta + eps, eps
+    else:
+        x_rest = factor_loaded(p - 1)
+        eps_full = rng.standard_normal(total)
+        drive = x_rest @ beta[1:] + eps_full
+        y = np.empty(total)
+        prev = 0.0
+        for t in range(total):
+            prev = beta[0] * prev + drive[t]
+            y[t] = prev
+        X = np.column_stack([y[burn - 1:total - 1], x_rest[burn:]])
+        return X, y[burn:], eps_full[burn:]
+    eps = rng.standard_normal(n)
+    return X, X @ beta + eps, eps

@@ -5,9 +5,11 @@
 For each ``SRC`` (a checkout's ``src`` directory; default this checkout's)
 a fresh interpreter with single-threaded BLAS imports ``martingale_ci``
 from it and runs every replication of the corpus below, master seed 0.
-It prints one digest per group of ``repr(run_replication(...))`` and,
-given two or more sources, exits 1 unless every group's digest agrees,
-so a change and its parent compare with one command:
+It prints one digest per group of ``repr(run_replication(...))``, then
+each interpreter's peak resident set (``ru_maxrss``, in kB) on a last
+line, and, given two or more sources, exits 1 unless every group's digest
+agrees, so a change and its parent compare, memory beside, with one
+command:
 
     python tests/corpus_digest.py src /path/to/parent/src
 
@@ -41,7 +43,8 @@ GROUPS = {
 
 
 def digests(src: str) -> dict[str, str]:
-    """Digest of every group, computed by a fresh interpreter on ``src``."""
+    """Digest of every group, computed by a fresh interpreter on ``src``,
+    and its ``ru_maxrss`` under the key ``ru_maxrss_kb``."""
     env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
     out = subprocess.run([sys.executable, __file__, "--worker", src], env=env,
                          capture_output=True, text=True, check=True).stdout
@@ -50,6 +53,7 @@ def digests(src: str) -> dict[str, str]:
 
 def _worker(src: str) -> None:
     import hashlib
+    import resource
 
     root = Path(src).resolve()
     sys.path.insert(0, str(root))
@@ -65,6 +69,7 @@ def _worker(src: str) -> None:
                                           methods, side)
             digest.update(repr(out).encode())
         print(name, digest.hexdigest())
+    print("ru_maxrss_kb", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def main(argv: list[str]) -> int:
@@ -73,9 +78,9 @@ def main(argv: list[str]) -> int:
         return 0
     srcs = argv or [str(Path(__file__).resolve().parent.parent / "src")]
     found = [digests(src) for src in srcs]
-    for name in GROUPS:
+    for name in [*GROUPS, "ru_maxrss_kb"]:
         print(name, *(d[name] for d in found))
-    return int(any(d != found[0] for d in found))
+    return int(any(d[name] != found[0][name] for d in found for name in GROUPS))
 
 
 if __name__ == "__main__":

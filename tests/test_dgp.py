@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from _oracles import generate_design
 from martingale_ci.dgp import (
     DgpConfig,
     GARCH_STATIONARY_VAR,
@@ -106,6 +107,17 @@ class TestGenerate:
         b = generate(cfg, make_beta(12))
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.Y, b.Y)
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    @pytest.mark.parametrize("n, p", [(60, 12), (300, 400)])
+    def test_matches_formulas(self, setting, n, p):
+        # X is built in place, the GARCH and AR draws a row at a time, with
+        # the same bits as the formulas term by term.
+        cfg = DgpConfig(setting=setting, n=n, p=p, seed=7)
+        ds = generate(cfg, make_beta(p))
+        expected = generate_design(cfg, make_beta(p))
+        for got, want in zip((ds.X, ds.Y, ds.noise), expected):
+            assert np.array_equal(got, want)
 
     def test_ar_regeneration_identity(self):
         cfg = DgpConfig(setting="AR", n=120, p=15, seed=31)

@@ -7,6 +7,7 @@ import pytest
 from _oracles import greedy_paths, naive_forward_stepwise
 from martingale_ci.oga import (
     _greedy_paths,
+    column_norms,
     default_iterations,
     hdbic,
     oga,
@@ -627,6 +628,25 @@ class TestStepOracle:
             zero += int(np.any(np.linalg.norm(X, axis=0) == 0.0))
         assert stopped >= 3 and zero == 1
         assert steps["distance"] >= 1 and steps["rss"] >= 3
+
+
+class TestColumnNorms:
+    """``column_norms`` is ``np.linalg.norm(X, axis=0)`` bit for bit, which
+    ``_oracles.greedy_paths`` takes."""
+
+    def test_oracle_designs(self):
+        for X, *_ in _oracle_cases().values():
+            assert np.array_equal(column_norms(X), np.linalg.norm(X, axis=0))
+
+    def test_lai_800x1000_and_other_layouts(self):
+        from martingale_ci.dgp import DgpConfig, generate, make_beta
+
+        X = generate(DgpConfig(setting="LAI", n=800, p=1000, seed=3), make_beta(1000)).X
+        # Blocks of 65 rows, a short last one; a sum kept in the block's
+        # first row; pairwise-summed layouts; one row.
+        for A in (X, X[:, :2], X[:, :1], np.asfortranarray(X[:300]), X[:, ::3],
+                  X[:1], np.zeros((5, 4))):
+            assert np.array_equal(column_norms(A), np.linalg.norm(A, axis=0))
 
 
 class TestBatchComposition:
