@@ -11,7 +11,8 @@ Five designs are supported, all of the form ``Y = X beta + eps``:
 - ``MVN``:   rows of X ~ N(0, Sigma) with unit diagonal and 0.2 off-diagonal.
 
 All generators are pure functions of (config, seed): identical inputs give
-bit-identical outputs. Each builds X in place, in one array.
+bit-identical outputs. Each builds X in place, in one array; GARCH and AR
+copy out their last n rows, so no dataset holds its burn-in.
 """
 from __future__ import annotations
 
@@ -184,8 +185,8 @@ def generate(cfg: DgpConfig, beta: np.ndarray) -> Dataset:
         Y = X @ beta + eps
     elif cfg.setting == "GARCH":
         total = n + burn
-        X = _factor_loaded_design(rng, total, p)[burn:]
-        eps = _garch_errors(rng, total)[burn:]
+        X = _factor_loaded_design(rng, total, p)[burn:].copy()
+        eps = _garch_errors(rng, total)[burn:].copy()
         Y = X @ beta + eps
     elif cfg.setting == "AR":
         total = n + burn
@@ -197,10 +198,10 @@ def generate(cfg: DgpConfig, beta: np.ndarray) -> Dataset:
         for t in range(total):
             prev = beta[0] * prev + drive[t]
             y[t] = prev
-        X = X_full[burn:]
-        X[:, 0] = y[burn - 1 : total - 1]
-        eps = eps_full[burn:]
-        Y = y[burn:]
+        X_full[burn:, 0] = y[burn - 1 : total - 1]
+        X = X_full[burn:].copy()
+        eps = eps_full[burn:].copy()
+        Y = y[burn:].copy()
     else:  # pragma: no cover - guarded by DgpConfig
         raise InvalidConfigError(cfg.setting)
 
@@ -235,10 +236,13 @@ def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset CSV written by :func:`save_dataset`.
 
     X and Y are C-contiguous copies, so their arithmetic is that of a
-    generated dataset; a non-finite entry raises ``ValueError``.
+    generated dataset; a file with no x column or a non-finite entry raises
+    ``ValueError``.
     """
     path = Path(path)
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if len(table) and table.shape[1] < 2:  # a file of no rows reads as one column
+        raise ValueError(f"{path}: has no x column")
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
         row, col = bad[0]

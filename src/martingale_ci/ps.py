@@ -10,7 +10,7 @@ the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,62 +31,51 @@ class InfeasibleTruncationError(RuntimeError):
 class SelectionPolytope:
     """Inequalities A y <= 0 describing a recorded greedy selection path.
 
-    The matrix A is never materialized; :meth:`apply` returns A v for any
-    vector (or batch of vectors) v. Rows come in pairs per (step, loser):
-    both sign branches of |corr(loser)| <= signed corr(winner).
+    A view of the selection (X by reference, its column norms, the basis Q,
+    the winners and their signs); :meth:`apply` returns A v for a vector or
+    a batch of vectors v without forming A. Rows come in pairs per (step,
+    loser): both sign branches of |corr(loser)| <= signed corr(winner).
+    Step k's losers are the nonzero columns not among the first k + 1
+    winners, in column order.
     """
 
+    X: np.ndarray
+    norms: np.ndarray
     Q: np.ndarray
-    x_hat: np.ndarray
     winners: np.ndarray
     signs: np.ndarray
-    loser_sets: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def from_selection(cls, X: np.ndarray, sel: SelectionResult) -> "SelectionPolytope":
         X = np.asarray(X, dtype=float)
-        norms = column_norms(X)
-        usable = norms > 0.0
-        x_hat = np.divide(X, norms, out=np.zeros_like(X), where=usable)
-        winners = sel.j_hat
-        signs = np.sign(sel.beta_q)
-        signs[signs == 0.0] = 1.0
-        loser_sets = []
-        taken: set[int] = set()
-        for w in winners:
-            cand = [j for j in np.flatnonzero(usable) if j not in taken and j != w]
-            loser_sets.append(np.asarray(cand, dtype=int))
-            taken.add(int(w))
-        return cls(Q=sel.Q, x_hat=x_hat, winners=winners, signs=signs,
-                   loser_sets=loser_sets)
+        return cls(X=X, norms=column_norms(X), Q=sel.Q, winners=sel.j_hat,
+                   signs=np.where(sel.beta_q < 0.0, -1.0, 1.0))
+
+    def _losers(self, k: int) -> np.ndarray:
+        losing = self.norms > 0.0
+        losing[self.winners[: k + 1]] = False
+        return np.flatnonzero(losing)
 
     @property
     def n_rows(self) -> int:
-        return 2 * sum(len(ls) for ls in self.loser_sets)
+        return 2 * sum(len(self._losers(k)) for k in range(len(self.winners)))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Evaluate A v; v may be (n,) or (n, N)."""
         v = np.asarray(v, dtype=float)
         squeeze = v.ndim == 1
-        V = v[:, None] if squeeze else v
+        resid = v[:, None] if squeeze else v
         rows = []
-        resid = V.copy()
-        for k, (w, s, losers) in enumerate(
-            zip(self.winners, self.signs, self.loser_sets)
-        ):
+        for k, (w, s) in enumerate(zip(self.winners, self.signs)):
             if k:
                 qk = self.Q[:, k - 1 : k]
                 resid = resid - qk @ (qk.T @ resid)
-            if len(losers) == 0:
-                continue
-            d = self.x_hat.T @ resid  # (p, N)
-            win = s * d[w]
-            rows.append(d[losers] - win[None, :])
-            rows.append(-d[losers] - win[None, :])
-        if not rows:
-            out = np.zeros((0, V.shape[1]))
-        else:
-            out = np.vstack(rows)
+            losers = self._losers(k)
+            xr = self.X.T @ resid  # (p, N), unnormalized correlations
+            d = xr[losers] / self.norms[losers, None]
+            win = s * xr[w] / self.norms[w]
+            rows += [d - win, -d - win]
+        out = np.vstack(rows) if rows else np.zeros((0, resid.shape[1]))
         return out[:, 0] if squeeze else out
 
 
@@ -104,8 +93,7 @@ def truncation_bounds(
     obs = float(eta @ y)
     c = eta / nsq
     z = y - c * obs
-    ac = poly.apply(c)
-    az = poly.apply(z)
+    ac, az = poly.apply(np.column_stack([c, z])).T
     if len(ac) == 0:
         return -np.inf, np.inf
     tol = 1e-10 * max(1.0, float(np.max(np.abs(ac))))

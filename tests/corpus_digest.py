@@ -16,7 +16,10 @@ command:
 The corpus: the benchmark's three workloads (``garch200_two``
 replications 0-5, ``lai400_one`` 0-7, ``lai800_amse`` 0-39) and the five
 settings at 120x150, replications 0-1, one-sided ``t,iv,ps,hr`` and
-two-sided ``t,iv,hr``. It takes about 10 s per source on one core.
+two-sided ``t,iv,hr``; and ``ps_edge``, the eight one-sided 200x250 ``ps``
+replications whose delta search runs all ``DELTA_MAX_ITERATIONS``, where
+the polytope's tolerance split of ``A c`` matters most. It takes about
+10 s per source on one core.
 pytest does not collect this file.
 """
 from __future__ import annotations
@@ -39,6 +42,10 @@ GROUPS = {
                   for s in SETTINGS for rep in range(2)],
     "small_two": [(s, 120, 150, rep, ("t", "iv", "hr"), "two", 0.1)
                   for s in SETTINGS for rep in range(2)],
+    "ps_edge": [(s, 200, 250, rep, ("ps",), "one", 0.2)
+                for s, reps in (("MVN", (150,)), ("AR", (163, 206, 229)),
+                                ("IID", (219,)), ("GARCH", (39, 154, 171)))
+                for rep in reps],
 }
 
 

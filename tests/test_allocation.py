@@ -2,9 +2,10 @@
 
 A replication holds one copy of the design: ``generate`` builds X in
 place, the greedy path takes column norms without an n x p array of
-squares, and the factor eigensolver works in its Gram matrix without a
-Fortran-ordered copy. Peaks are measured with ``tracemalloc``, which sees
-every NumPy buffer, above what was held before the call.
+squares, the factor eigensolver works in its Gram matrix without a
+Fortran-ordered copy, and the ``ps`` polytope reads X by reference. Peaks
+are measured with ``tracemalloc``, which sees every NumPy buffer, above
+what was held before the call.
 """
 import tracemalloc
 
@@ -14,6 +15,7 @@ import pytest
 from martingale_ci.dgp import DgpConfig, generate, make_beta
 from martingale_ci.factor_model import estimate_factors
 from martingale_ci.oga import oga_hdbic
+from martingale_ci.ps import ps_interval
 
 
 def _peak(f):
@@ -48,3 +50,11 @@ def test_factor_eigensolver_holds_one_gram(lai_800x1000):
     _, peak = _peak(lambda: estimate_factors(X, 5))
     gram_nbytes = 400 * 400 * np.dtype(float).itemsize
     assert peak <= 1.5 * gram_nbytes
+
+
+def test_ps_bound_copies_no_design(lai_800x1000):
+    ds = generate(*lai_800x1000)
+    sel = oga_hdbic(ds.X, ds.Y)
+    j = int(sel.j_hat[0])
+    _, peak = _peak(lambda: ps_interval(ds.X, ds.Y, sel, j, 0.2, 1.0))
+    assert peak <= 0.25 * ds.X.nbytes

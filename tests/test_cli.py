@@ -284,6 +284,7 @@ class TestCiCommand:
         ("y,x1,x2\n1,2,3\n3,4,5\n1,1,1\n", "need n >= 4 rows"),
         ("y,x1,x2\n1,2,3\nnan,4,5\n1,1,1\n2,2,2\n", "non-finite y in data row 2"),
         ("y,x1,x2\n1,2,3\n3,4,5\n1,1,inf\n2,2,2\n", "non-finite x2 in data row 3"),
+        ("y\n1\n3\n1\n2\n", "input.csv: has no x column"),
     ])
     def test_unreadable_input_rejected(self, tmp_path, capsys, content, message):
         data = tmp_path / "input.csv"

@@ -109,6 +109,12 @@ class TestGenerate:
         assert np.array_equal(a.Y, b.Y)
 
     @pytest.mark.parametrize("setting", SETTINGS)
+    def test_arrays_hold_only_the_kept_rows(self, setting):
+        # A view on the burn-in array would keep its 200 extra rows alive.
+        ds = generate(DgpConfig(setting=setting, n=60, p=12, seed=99), make_beta(12))
+        assert ds.X.base is None and ds.Y.base is None and ds.noise.base is None
+
+    @pytest.mark.parametrize("setting", SETTINGS)
     @pytest.mark.parametrize("n, p", [(60, 12), (300, 400)])
     def test_matches_formulas(self, setting, n, p):
         # X is built in place, the GARCH and AR draws a row at a time, with
